@@ -6,7 +6,7 @@ Each node is one of four two-qubit blocks compiled to rotations + CNOTs.
 """
 import numpy as np
 
-from tnqc import BlockKind, build_checkerboard, build_mera, build_ttn, run, zero_state
+from tnqc import BlockKind, build_checkerboard, build_mera, build_ttn, make_head, run, zero_state
 from tnqc.gates import PARAM_COUNT, Gate
 
 print("block kinds (parameters each):")
@@ -32,7 +32,5 @@ template = build_mera(BlockKind.GENERAL_SU4)
 params = rng.uniform(0, 2 * np.pi, template.n_params)
 out = run(template, params, zero_state(8))
 print("\nrandom mera:su4 on |0...0>, norm:", np.linalg.norm(out))
-
-from tnqc import decode_qubit_binary
-
-print("readout wire |0>-probabilities:", np.round(decode_qubit_binary(out, template.readout), 4))
+head = make_head("mse_binary", template, 4)
+print("readout wire |0>-probabilities:", np.round(head.outputs(out[None, :])[0], 4))

@@ -21,15 +21,13 @@ for delta in (-2.0, -1.2, -0.5, 0.0, 0.5, 1.2, 2.0):
 
 print("\nVQE at delta = -0.5 (gapless phase, the hard region):")
 config = VqeConfig(iterations=400, learning_rate=0.04)
-params, energy = vqe_optimize(-0.5, layers=4, config=config, seed=0)
-exact = exact_ground_energy(build_hamiltonian(-0.5))
+params, energy, exact = vqe_optimize(-0.5, layers=4, config=config, seed=0)
 print(f"  vqe energy  {energy:+.4f}")
 print(f"  exact       {exact:+.4f}")
 print(f"  relative error {abs(energy - exact) / abs(exact):.4f}")
 
 print("\nwarm-starting the neighbouring point delta = -0.4:")
-warm_params, warm_energy = vqe_optimize(
+warm_params, warm_energy, exact = vqe_optimize(
     -0.4, layers=4, warm_start=params, config=config, seed=0
 )
-exact = exact_ground_energy(build_hamiltonian(-0.4))
 print(f"  vqe energy  {warm_energy:+.4f}  (relative error {abs(warm_energy - exact) / abs(exact):.4f})")

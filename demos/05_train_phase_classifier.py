@@ -6,7 +6,7 @@ quantum data needs no encoding step), and reports test accuracy.  Scaled
 down to run in about two minutes; accuracy improves with dataset size,
 circuit expressivity, and patience.
 """
-from tnqc import BlockKind, TrainConfig, build_ttn, evaluate, train
+from tnqc import BlockKind, TrainConfig, build_ttn, evaluate, make_head, train
 from tnqc.training import split_train_val
 from tnqc.xxz import VqeConfig, dataset_summary, generate_dataset, split_records, states_from_records
 
@@ -37,5 +37,8 @@ print(f"training {template.descriptor} ({template.n_params} parameters) ...")
 checkpoint, history = train(template, config, train_set, val_set)
 print(f"  stopped after {len(history)} epochs, best validation accuracy {checkpoint.best_val_accuracy:.3f}")
 
-accuracy = evaluate(template, checkpoint.params, test_set, decoder="binary")
+head = make_head(config.loss, template, test_set.n_classes)
+accuracy, matrix = evaluate(head, checkpoint.params, test_set)
 print(f"test accuracy: {accuracy:.3f} on {len(test_set)} held-out ground states")
+print("confusion matrix (rows = true phase, columns = predicted):")
+print(matrix)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tnqc import BlockKind, TrainConfig, build_ttn, evaluate, logistic_baseline, train
+from tnqc import BlockKind, TrainConfig, build_ttn, evaluate, logistic_baseline, make_head, train
 from tnqc.encoding import encode_dataset
 from tnqc.mnist import load_image_label_pair, prepare_features, serialize_idx
 from tnqc.training import LabeledStates, split_train_val
@@ -68,5 +68,5 @@ config = TrainConfig(batch_size=20, batches_per_epoch=10, learning_rate=0.01,
                      max_epochs=120, patience=50, seed=0, loss="ce_amplitude")
 print(f"training {template.descriptor} with amplitude decoding ...")
 checkpoint, history = train(template, config, train_set, val_set)
-accuracy = evaluate(template, checkpoint.params, test_set, decoder="amplitude")
+accuracy, _ = evaluate(make_head(config.loss, template, 4), checkpoint.params, test_set)
 print(f"quantum classifier test accuracy: {accuracy:.3f} ({len(history)} epochs)")

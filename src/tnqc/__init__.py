@@ -1,9 +1,9 @@
 """Tensor-network quantum classifiers on a dense statevector simulator.
 
 Multi-class variational classifiers shaped like tree tensor networks (TTN)
-and MERAs, trained with parameter-shift or adjoint gradients, plus the data
-pipelines they are benchmarked on: PCA-compressed MNIST digits and VQE-made
-ground states of the XXZ spin chain.
+and MERAs, trained with adjoint gradients, plus the data pipelines they are
+benchmarked on: PCA-compressed MNIST digits and VQE-made ground states of the
+XXZ spin chain.
 """
 
 __version__ = "0.1.0"
@@ -18,40 +18,16 @@ from .circuits import (
     run_many,
     run_states,
 )
-from .encoding import (
-    binary_code,
-    class_from_binary_outputs,
-    decode_amplitude,
-    decode_qubit_binary,
-    encode_dataset,
-    encode_features,
-    loss_ce,
-    loss_mse,
-    softmax,
-)
+from .encoding import binary_code, encode_dataset, softmax
 from .gates import BlockKind, Gate, GateOp, block_matrix, expand_block
 from .gradients import (
     batch_energy_and_grad,
     batch_loss_grad,
     diag_readout_projector,
     diag_z_half,
-    energy_and_grad_adjoint,
-    expectation,
-    grad_adjoint,
-    grad_finite_diff,
-    grad_param_shift,
-    loss_and_grad_adjoint,
-    loss_and_grad_fd,
-    loss_and_grad_shift,
     make_head,
 )
-from .statevector import (
-    apply_1q,
-    apply_2q,
-    expectation_z_half,
-    marginal_probs,
-    zero_state,
-)
+from .statevector import apply_1q, apply_2q, zero_state
 from .training import (
     AdamState,
     Checkpoint,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,7 +19,8 @@ import numpy as np
 from . import __version__
 from .circuits import from_descriptor
 from .encoding import encode_dataset
-from .fileio import atomic_write_text, read_jsonl, sha256_file
+from .fileio import atomic_write_text, sha256_file
+from .gradients import make_head
 from .mnist import (
     FEATURES_FORMAT,
     IdxError,
@@ -29,11 +31,11 @@ from .mnist import (
     save_pca,
 )
 from .training import (
+    DECODER_LOSS,
     CheckpointError,
     DivergenceError,
     LabeledStates,
     TrainConfig,
-    confusion_matrix,
     evaluate,
     history_csv,
     load_checkpoint,
@@ -103,8 +105,10 @@ def _load_config_file(path) -> dict:
 
 
 def _dataset_kind(path) -> str:
-    header, _ = read_jsonl(path)
-    kind = header.get("format")
+    """Format named in a dataset file's header line; the rows are not read."""
+    with open(path) as f:
+        header = json.loads(next((line for line in f if line.strip()), "null"))
+    kind = header.get("format") if isinstance(header, dict) else None
     if kind not in (DATASET_FORMAT, FEATURES_FORMAT):
         raise CliDataError(f"{path}: unrecognized dataset format {kind!r}")
     return kind
@@ -153,7 +157,7 @@ def cmd_gen_xxz(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     lo, hi = (float(tok) for tok in args.delta_range.split(","))
     overrides = _load_config_file(args.config) if args.config else {}
-    known = VqeConfig().to_dict()
+    known = asdict(VqeConfig())
     unknown = sorted(set(overrides) - set(known))
     if unknown:
         raise CliDataError(f"unknown VQE config keys: {', '.join(unknown)}")
@@ -175,7 +179,7 @@ def cmd_gen_xxz(args) -> int:
             "delta_range": [lo, hi],
             "layers": args.layers,
             "seed": args.seed,
-            "vqe_config": vqe_config.to_dict(),
+            "vqe_config": asdict(vqe_config),
             "summary": summary,
         },
         {},
@@ -190,22 +194,31 @@ def cmd_gen_xxz(args) -> int:
     return EXIT_OK
 
 
-def _load_train_test_sets(args, seed: int) -> tuple[LabeledStates, LabeledStates, str]:
-    """Resolve dataset files into prepared train/test state sets."""
-    kind = _dataset_kind(args.data)
-    fingerprint = sha256_file(args.data)
+def _load_train_test(args, kind: str):
+    """Read and prepare the training data once for every seed.
+
+    Returns the sha256 fingerprints of the files read and a function of the
+    seed that gives the (train, test) state sets: an XXZ dataset is split
+    2:1 per seed, feature files come with their own test split.
+    """
     if kind == DATASET_FORMAT:
         records = load_records(args.data)
-        train_records, test_records = split_records(records, (2, 1), seed)
-        return states_from_records(train_records), states_from_records(test_records), fingerprint
+
+        def split(seed):
+            train_records, test_records = split_records(records, (2, 1), seed)
+            return states_from_records(train_records), states_from_records(test_records)
+
+        return (sha256_file(args.data),), split
     if not args.test_data:
         raise CliDataError("feature datasets need --test-data for the test split")
     train_x, train_y = load_features(args.data)
     test_x, test_y = load_features(args.test_data)
     n_classes = int(max(train_y.max(), test_y.max())) + 1
-    train_set = LabeledStates(encode_dataset(train_x), train_y, n_classes)
-    test_set = LabeledStates(encode_dataset(test_x), test_y, n_classes)
-    return train_set, test_set, fingerprint
+    sets = (
+        LabeledStates(encode_dataset(train_x), train_y, n_classes),
+        LabeledStates(encode_dataset(test_x), test_y, n_classes),
+    )
+    return (sha256_file(args.data), sha256_file(args.test_data)), lambda seed: sets
 
 
 def _train_defaults(kind: str) -> dict:
@@ -240,18 +253,18 @@ def cmd_train(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             settings[flag] = value
-    loss = {"binary": "mse_binary", "amplitude": "ce_amplitude"}[args.decoder]
+    loss = DECODER_LOSS[args.decoder]
+    fingerprints, split = _load_train_test(args, kind)
 
     accuracies = []
     outputs = []
     for seed in seeds:
-        train_full, test_set, fingerprint = _load_train_test_sets(args, seed)
+        train_full, test_set = split(seed)
         train_set, val_set = split_train_val(train_full, (11, 1), seed)
         config = TrainConfig(seed=seed, loss=loss, **settings)
-        checkpoint, history = train(
-            template, config, train_set, val_set, dataset_fingerprint=fingerprint
-        )
-        acc = evaluate(template, checkpoint.params, test_set, decoder=args.decoder)
+        checkpoint, history = train(template, config, train_set, val_set)
+        checkpoint.dataset_fingerprints = fingerprints
+        acc, _ = evaluate(make_head(loss, template, test_set.n_classes), checkpoint.params, test_set)
         accuracies.append(acc)
         ckpt_path = out_dir / f"seed{seed}.checkpoint.json"
         hist_path = out_dir / f"seed{seed}.history.csv"
@@ -287,10 +300,10 @@ def cmd_eval(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     template = from_descriptor(checkpoint.descriptor)
     kind = _dataset_kind(args.data)
-    fingerprint = sha256_file(args.data)
-    if checkpoint.dataset_fingerprint and checkpoint.dataset_fingerprint != fingerprint:
+    fingerprints = checkpoint.dataset_fingerprints
+    if fingerprints and sha256_file(args.data) not in fingerprints:
         print(
-            "warning: dataset fingerprint differs from the one recorded at training time",
+            "warning: dataset fingerprint differs from the ones recorded at training time",
             file=sys.stderr,
         )
     if kind == DATASET_FORMAT:
@@ -307,8 +320,8 @@ def cmd_eval(args) -> int:
                 f"{checkpoint.n_classes} classes"
             )
         dataset = LabeledStates(encode_dataset(features), labels, checkpoint.n_classes)
-    acc = evaluate(template, checkpoint.params, dataset, decoder=checkpoint.decoder)
-    matrix = confusion_matrix(template, checkpoint.params, dataset, checkpoint.decoder)
+    head = make_head(DECODER_LOSS[checkpoint.decoder], template, checkpoint.n_classes)
+    acc, matrix = evaluate(head, checkpoint.params, dataset)
     print(f"accuracy: {acc:.4f} over {len(dataset)} examples")
     print("confusion matrix (rows = true class, columns = predicted):")
     for row in matrix:

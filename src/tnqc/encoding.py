@@ -1,46 +1,27 @@
-"""Feature encoding, multi-class decoding strategies, and loss functions.
+"""Feature encoding and the label helpers the loss heads share.
 
 Classical features in [0, 1] enter the circuit as a product state of RY
-rotations, one qubit per feature.  Two decoders read the class back out of
-the final state:
-
-* qubit decoding with binary labels - one |0>-probability per readout qubit,
-  the vector interpreted as bits of the class index (MSB first);
-* amplitude decoding - the joint outcome distribution of the readout qubits,
-  truncated to ``n_classes`` entries and renormalized by a softmax.
-
-The |0>-probability convention means an output of 1 on a readout qubit is
-read as bit 1, so a readout register resting in |00> predicts class 3.
+rotations, one qubit per feature.  Reading a class back out of the final
+state is the job of the loss heads in ``gradients``: binary codes of the
+class index on per-qubit |0>-probabilities, or a softmax over the truncated
+readout marginal.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .statevector import expectation_z_half, marginal_probs
-
-LOG_FLOOR = 1e-12
-
-
-def encode_features(x) -> np.ndarray:
-    """Product state with qubit j rotated by RY(pi * x_j) from |0>."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("features outside [0, 1]; check preprocessing")
-    half = np.pi * x / 2
-    cos, sin = np.cos(half), np.sin(half)
-    amps = np.array([1.0], dtype=np.complex128)
-    # build last feature first so feature 0 ends up on the most significant bit
-    for j in reversed(range(x.size)):
-        amps = np.concatenate([cos[j] * amps, sin[j] * amps])
-    return amps
-
 
 def encode_dataset(features) -> np.ndarray:
-    """Encode a (N, n_features) matrix into a (N, 2^n) state batch."""
+    """Encode a (N, n_features) matrix into a (N, 2^n) state batch.
+
+    Qubit j of each row is RY(pi * x_j) applied to |0>, and feature 0 lands
+    on the most significant bit of the amplitude index.
+    """
     features = np.asarray(features, dtype=float)
-    if np.any(features < 0) or np.any(features > 1):
+    if features.ndim != 2:
+        raise ValueError(f"feature matrix must be 2-D, got shape {features.shape}")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all((features >= 0) & (features <= 1)):
         raise ValueError("features outside [0, 1]; check preprocessing")
     half = np.pi * features / 2
     states = np.ones((features.shape[0], 1), dtype=np.complex128)
@@ -65,51 +46,4 @@ def softmax(z) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def decode_qubit_binary(state, readout) -> np.ndarray:
-    """Per-qubit |0>-probabilities of the readout wires, MSB first."""
-    return np.array([expectation_z_half(state, q) for q in readout])
-
-
-def decode_amplitude(state, readout, n_classes: int) -> np.ndarray:
-    """Class distribution: readout marginal, truncated to n_classes, softmaxed."""
-    probs = marginal_probs(state, readout)
-    if n_classes > probs.size:
-        raise ValueError(
-            f"{n_classes} classes need more than {len(readout)} readout qubits"
-        )
-    return softmax(probs[:n_classes])
-
-
-def class_from_binary_outputs(outputs, n_classes: int) -> int:
-    """Nearest class code in Euclidean distance; ties go to the lower class."""
-    outputs = np.asarray(outputs, dtype=float)
-    codes = np.stack([binary_code(c, outputs.size) for c in range(n_classes)])
-    return int(np.argmin(((codes - outputs) ** 2).sum(axis=1)))
-
-
-def loss_mse(outputs, target_bits) -> float:
-    """Mean squared difference between readout outputs and the label's bits."""
-    outputs = np.asarray(outputs, dtype=float)
-    target_bits = np.asarray(target_bits, dtype=float)
-    if outputs.shape != target_bits.shape:
-        raise ValueError("outputs and target bits differ in length")
-    return float(np.mean((outputs - target_bits) ** 2))
-
-
-def loss_ce(probs, target: int) -> float:
-    """Categorical cross entropy -log p[target], floored for stability."""
-    p = max(float(np.asarray(probs)[target]), LOG_FLOOR)
-    return -np.log(p)
-
-
-__all__ = [
-    "encode_features",
-    "encode_dataset",
-    "binary_code",
-    "softmax",
-    "decode_qubit_binary",
-    "decode_amplitude",
-    "class_from_binary_outputs",
-    "loss_mse",
-    "loss_ce",
-]
+__all__ = ["encode_dataset", "binary_code", "softmax"]

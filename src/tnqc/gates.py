@@ -98,12 +98,6 @@ def rz(theta):
 
 ROTATION_MATRIX = {Gate.RY: ry, Gate.RZ: rz}
 
-# Generators: RY/RZ are exp(-i theta G / 2) for these G.
-GENERATOR = {
-    Gate.RY: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    Gate.RZ: np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 I2 = np.eye(2, dtype=np.complex128)
 # 4x4 CNOTs in (hi, lo) bit order.
 CNOT_CTRL_HI = np.array(

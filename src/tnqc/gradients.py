@@ -1,24 +1,21 @@
-"""Gradients of circuit expectations and losses with respect to the angles.
+"""Adjoint gradients of circuit losses and energies with respect to the angles.
 
-Three routes are provided:
+Every trainable gate is a Pauli-half rotation, so one reverse sweep over the
+forward output states gives the derivative of ``<bra|ket>`` for all angles
+at once: two statevector passes in total, independent of the parameter
+count (Jones & Gacon, arXiv:2009.02823).
 
-* ``grad_param_shift`` - the exact two-point rule f(t + pi/2) - f(t - pi/2)
-  over 2, valid because every trainable gate is a Pauli-half rotation;
-* ``grad_adjoint``     - reverse sweep with two statevector passes total,
-  independent of the parameter count; the production path;
-* ``grad_finite_diff`` - central differences, kept as a dumb test oracle.
-
-Observables are either a real diagonal (1-D array over basis states) or a
-dense Hermitian matrix (2-D).  The loss heads in this module fold the
-classical chain rule (MSE on readout bits, or softmax + cross entropy on the
-readout marginal) into a single effective diagonal observable, so a whole
-loss gradient still costs two passes.
+The loss heads are the only decoders: they turn output states into readout
+values, losses, predictions and the weights of the classical chain rule.
+They fold that chain rule (MSE on readout bits, or softmax + cross entropy
+on the readout marginal) into a single effective diagonal observable, so a
+whole loss gradient still costs two passes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CircuitTemplate, run, run_many, run_states
+from .circuits import CircuitTemplate, run_many, run_states
 from .encoding import binary_code, softmax
 from .gates import Gate
 from .statevector import (
@@ -30,8 +27,6 @@ from .statevector import (
     _qubit_view,
     probabilities,
 )
-
-HALF_PI = np.pi / 2
 
 
 # ---------------------------------------------------------------------------
@@ -54,65 +49,8 @@ def diag_readout_projector(n_qubits: int, readout, outcome: int) -> np.ndarray:
     return (value == outcome).astype(float)
 
 
-def expectation(state: np.ndarray, obs: np.ndarray) -> float:
-    """<psi|M|psi> for a diagonal (1-D) or dense Hermitian (2-D) observable."""
-    obs = np.asarray(obs)
-    if obs.ndim == 1:
-        return float(probabilities(state) @ obs)
-    return float(np.real(np.vdot(state, obs @ state)))
-
-
-def _batch_expectations(kets: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    obs = np.asarray(obs)
-    if obs.ndim == 1:
-        return probabilities(kets) @ obs
-    return np.einsum("bi,bi->b", kets.conj(), kets @ obs.T).real
-
-
-def _apply_obs(obs: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    obs = np.asarray(obs)
-    if obs.ndim == 1:
-        return kets * obs
-    return kets @ obs.T  # row-vector form of M |k> per row
-
-
 # ---------------------------------------------------------------------------
-# expectation-level gradients
-
-def _shifted_rows(params: np.ndarray, delta: float) -> np.ndarray:
-    """Rows [k + delta e_0, k - delta e_0, k + delta e_1, ...]."""
-    p = params.size
-    rows = np.repeat(params[None, :], 2 * p, axis=0)
-    k = np.arange(p)
-    rows[2 * k, k] += delta
-    rows[2 * k + 1, k] -= delta
-    return rows
-
-
-def grad_param_shift(template: CircuitTemplate, params, input_state, obs) -> np.ndarray:
-    """Exact gradient of <M> via the +-pi/2 shift rule (2 runs per parameter)."""
-    params = np.asarray(params, dtype=float)
-    _require_rotations_only(template)
-    kets = run_many(template, _shifted_rows(params, HALF_PI), input_state)
-    f = _batch_expectations(kets, obs)
-    return (f[0::2] - f[1::2]) / 2
-
-
-def grad_finite_diff(template: CircuitTemplate, params, input_state, obs, step: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of <M>; test oracle only."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    params = np.asarray(params, dtype=float)
-    kets = run_many(template, _shifted_rows(params, step), input_state)
-    f = _batch_expectations(kets, obs)
-    return (f[0::2] - f[1::2]) / (2 * step)
-
-
-def _require_rotations_only(template: CircuitTemplate) -> None:
-    for op in template.ops:
-        if op.trainable and op.gate not in (Gate.RY, Gate.RZ):
-            raise ValueError(f"trainable op is not a Pauli rotation: {op}")
-
+# adjoint sweep
 
 def _adjoint_sweep(template: CircuitTemplate, kets, bras, params=None, param_rows=None) -> np.ndarray:
     """Reverse pass computing d<bra|ket>/d theta_k for all slots at once.
@@ -153,22 +91,17 @@ def _adjoint_sweep(template: CircuitTemplate, kets, bras, params=None, param_row
     return grads
 
 
-def grad_adjoint(template: CircuitTemplate, params, input_state, obs):
-    """(value, gradient) of <M> in two passes, independent of parameter count."""
-    params = np.asarray(params, dtype=float)
-    _require_rotations_only(template)
-    ket = run(template, params, input_state)
-    bra = _apply_obs(obs, ket[None, :])
-    value = float(np.vdot(ket, bra[0]).real)
-    grads = _adjoint_sweep(template, ket[None, :].copy(), bra, params=params)
-    return value, grads[0]
-
-
 # ---------------------------------------------------------------------------
 # loss heads
 
 class QubitBinaryHead:
-    """MSE on per-qubit |0>-probabilities read as a binary class code."""
+    """MSE on per-qubit |0>-probabilities read as a binary class code.
+
+    Output ``i`` is the |0>-probability of readout wire ``i``, the first wire
+    being the most significant bit, so a readout register resting in |00>
+    predicts class 3.  ``predict`` picks the nearest class code in Euclidean
+    distance; ties go to the lower class.
+    """
 
     loss_name = "mse_binary"
 
@@ -198,7 +131,12 @@ class QubitBinaryHead:
 
 
 class AmplitudeSoftmaxHead:
-    """Cross entropy on the softmaxed, truncated readout marginal."""
+    """Cross entropy on the softmaxed, truncated readout marginal.
+
+    Output ``j`` is the probability of the joint readout outcome whose
+    first-listed wire is the most significant bit of ``j``; the first
+    ``n_classes`` entries, softmaxed, are the class distribution.
+    """
 
     loss_name = "ce_amplitude"
 
@@ -252,7 +190,6 @@ def batch_loss_grad(head, params, states, labels):
     """Adjoint route over a batch: losses (B,), gradients (B, P), outputs (B, m)."""
     params = np.asarray(params, dtype=float)
     labels = np.asarray(labels)
-    _require_rotations_only(head.template)
     kets = run_states(head.template, params, states)
     outs = head.outputs(kets)
     losses = head.losses(outs, labels)
@@ -262,41 +199,6 @@ def batch_loss_grad(head, params, states, labels):
     return losses, grads, outs
 
 
-def loss_and_grad_adjoint(head, params, state, label):
-    """Loss and gradient for one example via the adjoint route."""
-    losses, grads, _ = batch_loss_grad(head, params, np.asarray(state)[None, :], [label])
-    return float(losses[0]), grads[0]
-
-
-def loss_and_grad_shift(head, params, state, label):
-    """Loss and gradient for one example: shift rule + analytic chain rule."""
-    params = np.asarray(params, dtype=float)
-    kets = run_many(head.template, _shifted_rows(params, HALF_PI), state)
-    shifted_outs = probabilities(kets) @ head.masks.T  # (2P, n_obs)
-    grad_outs = (shifted_outs[0::2] - shifted_outs[1::2]) / 2  # (P, n_obs)
-    out = head.outputs(run_states(head.template, params, state[None, :]))
-    labels = np.asarray([label])
-    loss = float(head.losses(out, labels)[0])
-    weights = head.output_weights(out, labels)[0]
-    return loss, grad_outs @ weights
-
-
-def loss_and_grad_fd(head, params, state, label, step: float = 1e-4):
-    """Loss and gradient for one example by finite-differencing the full loss."""
-    params = np.asarray(params, dtype=float)
-    kets = run_many(head.template, _shifted_rows(params, step), state)
-    labels = np.full(kets.shape[0], label)
-    f = head.losses(head.outputs(kets), labels)
-    out = head.outputs(run_states(head.template, params, state[None, :]))
-    loss = float(head.losses(out, np.asarray([label]))[0])
-    return loss, (f[0::2] - f[1::2]) / (2 * step)
-
-
-def energy_and_grad_adjoint(template: CircuitTemplate, params, input_state, hamiltonian):
-    """(energy, gradient of energy) for a dense Hermitian Hamiltonian."""
-    return grad_adjoint(template, params, input_state, hamiltonian)
-
-
 def batch_energy_and_grad(template: CircuitTemplate, param_rows, input_state, hamiltonians):
     """Energies (B,) and gradients (B, P) for per-row parameters and Hamiltonians.
 
@@ -304,7 +206,6 @@ def batch_energy_and_grad(template: CircuitTemplate, param_rows, input_state, ha
     optimizations in lockstep.
     """
     param_rows = np.asarray(param_rows, dtype=float)
-    _require_rotations_only(template)
     kets = run_many(template, param_rows, input_state)
     bras = np.einsum("bij,bj->bi", hamiltonians, kets)
     energies = np.einsum("bi,bi->b", kets.conj(), bras).real

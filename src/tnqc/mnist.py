@@ -194,6 +194,8 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: unsupported feature file version")
     features = np.array([row["features"] for row in rows], dtype=float)
     labels = np.array([row["label"] for row in rows], dtype=int)
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"{path}: non-finite feature values")
     return features, labels
 
 

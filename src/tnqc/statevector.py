@@ -3,8 +3,9 @@
 States are numpy ``complex128`` arrays of length ``2**n_qubits``.  Qubit 0 is
 the most significant bit of the amplitude index, i.e. ``state.reshape([2] * n)``
 puts qubit ``i`` on axis ``i``.  The gate appliers also take a batch of states
-of shape ``(B, 2**n)`` and preserve the input shape; the measurement helpers
-(``expectation_z_half``, ``marginal_probs``) take a single state.
+of shape ``(B, 2**n)`` and preserve the input shape.  Readout statistics
+are diagonal observables applied to ``probabilities``; see the loss heads in
+``gradients``.
 """
 from __future__ import annotations
 
@@ -155,35 +156,6 @@ def _apply_cnot_inplace(flat, n, control, target):
 def probabilities(state: np.ndarray) -> np.ndarray:
     """|amplitude|^2 for each basis index."""
     return (state.real**2 + state.imag**2)
-
-
-def expectation_z_half(state: np.ndarray, qubit: int) -> float:
-    """<(I + sigma_z)/2> on one qubit: the probability of measuring |0>."""
-    n = num_qubits(state)
-    _check_qubit(qubit, n)
-    p = probabilities(state).reshape(1 << qubit, 2, -1)
-    return float(p[:, 0, :].sum())
-
-
-def marginal_probs(state: np.ndarray, readout) -> np.ndarray:
-    """Joint outcome distribution of the listed qubits.
-
-    Entry ``j`` is the probability of the bitstring whose first-listed qubit
-    is the most significant bit of ``j``.
-    """
-    n = num_qubits(state)
-    readout = list(readout)
-    for q in readout:
-        _check_qubit(q, n)
-    if len(set(readout)) != len(readout):
-        raise ValueError(f"duplicate readout indices: {readout}")
-    p = probabilities(state).reshape([2] * n)
-    keep = sorted(readout)
-    trace_out = tuple(ax for ax in range(n) if ax not in keep)
-    if trace_out:
-        p = p.sum(axis=trace_out)
-    order = [keep.index(q) for q in readout]
-    return p.transpose(order).reshape(-1)
 
 
 def norm_error(state: np.ndarray) -> float:

@@ -2,9 +2,11 @@
 
 Training follows the usual hybrid loop: encode or prepare the input states
 once, then per batch compute the mean loss gradient over the examples (via
-the adjoint route) and take one Adam step.  Validation accuracy is monitored
+the adjoint route) and take one Adam step.  Validation accuracy is scored
 after every epoch; when it stops improving for ``patience`` epochs the loop
-halts and the parameters from the best epoch are restored.
+halts and the parameters from the best epoch are restored.  ``evaluate`` is
+the one scoring pass: it simulates each state once and returns the accuracy
+with the confusion matrix it is read from.
 
 All randomness (parameter init, batch order) derives from the config seed, so
 identical config + data reproduce the history bit for bit.
@@ -25,7 +27,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-7
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 EVAL_CHUNK = 512
 
@@ -45,7 +47,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     max_epochs: int = 1000
     patience: int = 100
-    monitor: str = "val_accuracy"
     seed: int = 0
     loss: str = "mse_binary"  # or "ce_amplitude"
 
@@ -54,8 +55,6 @@ class TrainConfig:
             raise ValueError(f"non-positive sizes in config: {self}")
         if not 1 <= self.patience <= self.max_epochs:
             raise ValueError(f"patience must be in [1, max_epochs], got {self.patience}")
-        if self.monitor != "val_accuracy":
-            raise ValueError(f"unsupported monitor {self.monitor!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.seed < 0:
@@ -132,12 +131,11 @@ class Checkpoint:
     decoder: str  # "binary" or "amplitude"
     n_classes: int
     params: np.ndarray
-    adam: AdamState
     config: TrainConfig
     seed: int
     best_val_accuracy: float
     epochs_run: int
-    dataset_fingerprint: str = ""
+    dataset_fingerprints: tuple[str, ...]  # sha256 of each data file trained on
     version: int = CHECKPOINT_VERSION
 
 
@@ -158,32 +156,16 @@ def train(
     config: TrainConfig,
     train_set: LabeledStates,
     val_set: LabeledStates,
-    dataset_fingerprint: str = "",
-    resume_from: "Checkpoint | None" = None,
 ) -> tuple[Checkpoint, list[EpochRecord]]:
     """Fit the template's parameters; returns the best-epoch checkpoint and history."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("empty training or validation set")
     head = make_head(config.loss, template, train_set.n_classes)
 
-    if resume_from is not None:
-        params = resume_from.params.copy()
-        adam = AdamState(
-            m=resume_from.adam.m.copy(),
-            v=resume_from.adam.v.copy(),
-            t=resume_from.adam.t,
-            beta1=resume_from.adam.beta1,
-            beta2=resume_from.adam.beta2,
-            eps=resume_from.adam.eps,
-        )
-        start_epoch = resume_from.epochs_run
-    else:
-        init_rng = np.random.default_rng([config.seed, 0])
-        params = init_rng.uniform(0.0, 2 * np.pi, size=template.n_params)
-        adam = AdamState.zeros(template.n_params)
-        start_epoch = 0
-
-    batch_rng = np.random.default_rng([config.seed, 1, start_epoch])
+    init_rng = np.random.default_rng([config.seed, 0])
+    params = init_rng.uniform(0.0, 2 * np.pi, size=template.n_params)
+    adam = AdamState.zeros(template.n_params)
+    batch_rng = np.random.default_rng([config.seed, 1, 0])
     stream = _batch_stream(len(train_set), config.batch_size, batch_rng)
     if config.batches_per_epoch:
         batches_per_epoch = config.batches_per_epoch
@@ -192,11 +174,10 @@ def train(
 
     best_params = params.copy()
     best_val = -1.0
-    best_epoch = 0
     since_best = 0
     history: list[EpochRecord] = []
 
-    for epoch in range(start_epoch + 1, config.max_epochs + 1):
+    for epoch in range(1, config.max_epochs + 1):
         tic = time.perf_counter()
         loss_sum = 0.0
         n_seen = 0
@@ -214,7 +195,7 @@ def train(
             n_seen += len(idx)
             loss_sum += batch_loss
             params = adam_step(adam, params, grads.mean(axis=0), config.learning_rate)
-        val_acc = evaluate(template, params, val_set, head=head)
+        val_acc, _ = evaluate(head, params, val_set)
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -227,7 +208,6 @@ def train(
         if val_acc > best_val:
             best_val = val_acc
             best_params = params.copy()
-            best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
@@ -239,42 +219,32 @@ def train(
         decoder=LOSS_DECODER[config.loss],
         n_classes=train_set.n_classes,
         params=best_params,
-        adam=adam,
         config=config,
         seed=config.seed,
         best_val_accuracy=best_val,
-        epochs_run=history[-1].epoch if history else start_epoch,
-        dataset_fingerprint=dataset_fingerprint,
+        epochs_run=history[-1].epoch,
+        dataset_fingerprints=(),  # states carry no file; callers that read one fill this in
     )
     return checkpoint, history
 
 
-def evaluate(template: CircuitTemplate, params, dataset: LabeledStates, decoder: str = "binary", head=None) -> float:
-    """Fraction of examples whose predicted class matches the label."""
+def evaluate(head, params, dataset: LabeledStates) -> tuple[float, np.ndarray]:
+    """Accuracy and confusion matrix (rows = true class, columns = predicted).
+
+    Each state is simulated once, in chunks of ``EVAL_CHUNK`` rows; the
+    accuracy is the matrix trace over its sum.
+    """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    if head is None:
-        head = make_head(DECODER_LOSS[decoder], template, dataset.n_classes)
-    correct = 0
+    n = dataset.n_classes
+    counts = np.zeros(n * n, dtype=int)
     for start in range(0, len(dataset), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        kets = run_states(template, params, dataset.states[chunk])
+        kets = run_states(head.template, params, dataset.states[chunk])
         preds = head.predict(head.outputs(kets))
-        correct += int((preds == dataset.labels[chunk]).sum())
-    return correct / len(dataset)
-
-
-def confusion_matrix(template: CircuitTemplate, params, dataset: LabeledStates, decoder: str) -> np.ndarray:
-    """Rows = true class, columns = predicted class."""
-    head = make_head(DECODER_LOSS[decoder], template, dataset.n_classes)
-    mat = np.zeros((dataset.n_classes, dataset.n_classes), dtype=int)
-    for start in range(0, len(dataset), EVAL_CHUNK):
-        chunk = slice(start, start + EVAL_CHUNK)
-        kets = run_states(template, params, dataset.states[chunk])
-        preds = head.predict(head.outputs(kets))
-        for t, p in zip(dataset.labels[chunk], preds):
-            mat[t, p] += 1
-    return mat
+        counts += np.bincount(dataset.labels[chunk] * n + preds, minlength=n * n)
+    matrix = counts.reshape(n, n)
+    return int(np.trace(matrix)) / int(matrix.sum()), matrix
 
 
 def split_train_val(dataset: LabeledStates, ratio: tuple[int, int], seed: int) -> tuple[LabeledStates, LabeledStates]:
@@ -332,19 +302,11 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "decoder": checkpoint.decoder,
         "n_classes": checkpoint.n_classes,
         "params": checkpoint.params.tolist(),
-        "adam": {
-            "m": checkpoint.adam.m.tolist(),
-            "v": checkpoint.adam.v.tolist(),
-            "t": checkpoint.adam.t,
-            "beta1": checkpoint.adam.beta1,
-            "beta2": checkpoint.adam.beta2,
-            "eps": checkpoint.adam.eps,
-        },
         "config": asdict(checkpoint.config),
         "seed": checkpoint.seed,
         "best_val_accuracy": checkpoint.best_val_accuracy,
         "epochs_run": checkpoint.epochs_run,
-        "dataset_fingerprint": checkpoint.dataset_fingerprint,
+        "dataset_fingerprints": list(checkpoint.dataset_fingerprints),
     }
     atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
@@ -362,32 +324,24 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: checkpoint version {version} not supported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        params = np.asarray(payload["params"], dtype=float)
-        adam = AdamState(
-            m=np.asarray(payload["adam"]["m"], dtype=float),
-            v=np.asarray(payload["adam"]["v"], dtype=float),
-            t=int(payload["adam"]["t"]),
-            beta1=float(payload["adam"]["beta1"]),
-            beta2=float(payload["adam"]["beta2"]),
-            eps=float(payload["adam"]["eps"]),
-        )
         checkpoint = Checkpoint(
             descriptor=payload["descriptor"],
             decoder=payload["decoder"],
             n_classes=int(payload["n_classes"]),
-            params=params,
-            adam=adam,
+            params=np.asarray(payload["params"], dtype=float),
             config=TrainConfig(**payload["config"]),
             seed=int(payload["seed"]),
             best_val_accuracy=float(payload["best_val_accuracy"]),
             epochs_run=int(payload["epochs_run"]),
-            dataset_fingerprint=payload.get("dataset_fingerprint", ""),
+            dataset_fingerprints=tuple(payload["dataset_fingerprints"]),
             version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CheckpointError):
             raise
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from exc
+    if checkpoint.decoder not in DECODER_LOSS:
+        raise CheckpointError(f"{path}: unknown decoder {checkpoint.decoder!r}")
     expected = from_descriptor(checkpoint.descriptor).n_params
     if checkpoint.params.size != expected:
         raise CheckpointError(

@@ -17,7 +17,7 @@ boundaries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -104,16 +104,6 @@ class VqeConfig:
     restarts: int = 1  # cold starts only; best energy wins
     chains: int = 16  # independent warm-start sweeps advanced in lockstep
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "warm_iterations": self.warm_iterations,
-            "learning_rate": self.learning_rate,
-            "warm_start_noise": self.warm_start_noise,
-            "restarts": self.restarts,
-            "chains": self.chains,
-        }
-
 
 def _minimize_batch(template, hamiltonians, e_targets, theta0, iterations, learning_rate, deltas):
     """Adam descent of (E - E_target)^2 for several rows at once.
@@ -151,17 +141,19 @@ def vqe_optimize(
     config: VqeConfig | None = None,
     n_sites: int = 8,
     seed: int = 0,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, float]:
     """Variationally approximate the ground state at one anisotropy value.
 
-    Returns the best-seen checkerboard parameters and their energy.  With a
-    warm start the parameters are perturbed by ``warm_start_noise`` radians
-    to escape zero-gradient eigenstates left by the previous point.
+    Returns the best-seen checkerboard parameters, their energy and the
+    exact ground energy the target was set from.  With a warm start the
+    parameters are perturbed by ``warm_start_noise`` radians to escape
+    zero-gradient eigenstates left by the previous point.
     """
     config = config or VqeConfig()
     template = build_checkerboard(n_sites, layers)
     h = build_hamiltonian(delta, n_sites)
-    e_target = target_energy(exact_ground_energy(h))
+    exact = exact_ground_energy(h)
+    e_target = target_energy(exact)
 
     if warm_start is not None:
         rng = np.random.default_rng([seed, 3])
@@ -171,7 +163,7 @@ def vqe_optimize(
             template, h[None], np.array([e_target]), theta0[None],
             config.warm_iterations, config.learning_rate, np.array([delta]),
         )
-        return thetas[0], float(energies[0])
+        return thetas[0], float(energies[0]), exact
 
     restarts = max(1, config.restarts)
     theta0 = np.stack(
@@ -190,7 +182,7 @@ def vqe_optimize(
         np.full(restarts, delta),
     )
     best = int(np.argmin(energies))
-    return thetas[best], float(energies[best])
+    return thetas[best], float(energies[best]), exact
 
 
 @dataclass
@@ -254,12 +246,11 @@ def generate_dataset(
     previous = None
     for c in range(n_chains):
         delta = float(chains[c][0])
-        params, energy = vqe_optimize(
+        params, energy, exact = vqe_optimize(
             delta, layers, warm_start=previous, config=config,
             n_sites=n_sites, seed=_point_seed(seed, c, 0),
         )
         warm[c] = previous = params
-        exact = exact_ground_energy(build_hamiltonian(delta, n_sites))
         results[delta] = (params, energy, exact)
 
     for position in range(1, positions):
@@ -316,7 +307,7 @@ def save_records(records: list[GroundStateRecord], path, config: VqeConfig | Non
         "version": DATASET_VERSION,
         "layers": records[0].layers if records else None,
         "seed": seed,
-        "vqe_config": (config or VqeConfig()).to_dict(),
+        "vqe_config": asdict(config or VqeConfig()),
     }
     rows = (
         {

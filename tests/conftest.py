@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tnqc.circuits import CircuitTemplate
+
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random normalized statevector."""
@@ -18,3 +20,8 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def identity_template(n_qubits: int, readout=()):
+    """Gate-free template, so a head's outputs read the input state directly."""
+    return CircuitTemplate(n_qubits, (), 0, tuple(readout), "identity")

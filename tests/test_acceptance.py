@@ -13,14 +13,9 @@ import numpy as np
 import pytest
 
 from tnqc.circuits import build_mera, build_ttn, from_descriptor
-from tnqc.encoding import decode_amplitude, encode_dataset
+from tnqc.encoding import encode_dataset
 from tnqc.gates import BlockKind
-from tnqc.gradients import (
-    loss_and_grad_adjoint,
-    loss_and_grad_fd,
-    loss_and_grad_shift,
-    make_head,
-)
+from tnqc.gradients import batch_loss_grad, make_head
 from tnqc.mnist import filter_classes, fit_pca, load_image_label_pair, transform, images_to_matrix
 from tnqc.statevector import norm_error
 from tnqc.training import LabeledStates, TrainConfig, evaluate, logistic_baseline, split_train_val, train
@@ -34,7 +29,8 @@ from tnqc.xxz import (
     states_from_records,
 )
 
-from conftest import random_state, random_unitary
+from conftest import identity_template, random_state, random_unitary
+from oracles import loss_and_grad_fd, loss_and_grad_shift
 
 GRADIENT_TOL = 1e-6
 FD_STEP = 1e-4
@@ -72,6 +68,7 @@ def xxz_dataset():
 
 def _train_xxz(records, descriptor, seeds):
     template = from_descriptor(descriptor)
+    head = make_head("mse_binary", template, 3)
     accuracies = []
     sanity_margins = []
     for seed in seeds:
@@ -84,10 +81,10 @@ def _train_xxz(records, descriptor, seeds):
             max_epochs=1000, patience=250, seed=seed, loss="mse_binary",
         )
         checkpoint, _ = train(template, config, train_set, val_set)
-        accuracies.append(evaluate(template, checkpoint.params, test_set, decoder="binary"))
+        accuracies.append(evaluate(head, checkpoint.params, test_set)[0])
         # trained checkpoints score on their own training set within a
         # sanity band of the recorded validation accuracy
-        train_acc = evaluate(template, checkpoint.params, train_set, decoder="binary")
+        train_acc, _ = evaluate(head, checkpoint.params, train_set)
         sanity_margins.append(train_acc - (checkpoint.best_val_accuracy - 0.1))
     return accuracies, sanity_margins
 
@@ -151,7 +148,7 @@ def mnist_training(mnist_data):
                 max_epochs=1000, patience=100, seed=seed, loss=loss,
             )
             checkpoint, _ = train(template, config, train_set, val_set)
-            accuracies.append(evaluate(template, checkpoint.params, test_set, decoder=decoder))
+            accuracies.append(evaluate(make_head(loss, template, 4), checkpoint.params, test_set)[0])
         results[(descriptor, decoder)] = accuracies
     return results, time.perf_counter() - tic
 
@@ -172,7 +169,8 @@ def test_criterion_1_gradient_agreement():
                     params = rng.uniform(0, 2 * np.pi, template.n_params)
                     state = random_state(8, rng)
                     label = int(rng.integers(4))
-                    _, g_adj = loss_and_grad_adjoint(head, params, state, label)
+                    _, g_adj, _ = batch_loss_grad(head, params, state[None, :], [label])
+                    g_adj = g_adj[0]
                     _, g_shift = loss_and_grad_shift(head, params, state, label)
                     _, g_fd = loss_and_grad_fd(head, params, state, label, step=FD_STEP)
                     worst = max(
@@ -340,8 +338,9 @@ def test_criterion_9_invariant_suites():
 
     # decoder output is a distribution
     worst_sum = 0.0
+    head = make_head("ce_amplitude", identity_template(8, (2, 5)), 4)
     for _ in range(100):
-        probs = decode_amplitude(random_state(8, rng), (2, 5), 4)
+        probs = head.class_probs(head.outputs(random_state(8, rng)[None, :]))[0]
         assert np.all(probs >= 0)
         worst_sum = max(worst_sum, abs(probs.sum() - 1.0))
 

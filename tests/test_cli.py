@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tnqc import mnist, xxz
 from tnqc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from tnqc.mnist import save_features, serialize_idx
 from tnqc.training import load_checkpoint
@@ -232,6 +233,89 @@ class TestTrainEval:
         code = main(["eval", "--checkpoint", str(out / "seed0.checkpoint.json"), "--data", str(other)])
         assert code == EXIT_OK
         assert "fingerprint" in capsys.readouterr().err
+
+
+def write_feature_split(tmp_path, rng, nan_column=None):
+    """Separable 4-class train and test feature files that differ in content."""
+    paths = []
+    for name, n in (("train", 48), ("test", 24)):
+        labels = np.tile([0, 1, 2, 3], n // 4)
+        features = rng.uniform(0.3, 0.7, (n, 8))
+        features[:, 0] = 1.0 - ((labels >> 1) & 1)
+        features[:, 1] = 1.0 - (labels & 1)
+        if nan_column is not None and name == "test":
+            features[:, nan_column] = np.nan
+        path = tmp_path / f"{name}.jsonl"
+        save_features(path, features, labels)
+        paths.append(str(path))
+    return paths
+
+
+def train_on_features(tmp_path, train_path, test_path):
+    out = tmp_path / "runs"
+    code = main([
+        "train", "--arch", "ttn:simple-real", "--decoder", "binary",
+        "--data", train_path, "--test-data", test_path,
+        "--seeds", "0", "--out", str(out),
+        "--max-epochs", "2", "--patience", "2", "--batches-per-epoch", "2",
+    ])
+    assert code == EXIT_OK
+    return str(out / "seed0.checkpoint.json")
+
+
+class TestBadFeatures:
+    def test_eval_rejects_nan_column(self, tmp_path, rng, capsys):
+        train_path, test_path = write_feature_split(tmp_path, rng)
+        checkpoint = train_on_features(tmp_path, train_path, test_path)
+        _, nan_test = write_feature_split(tmp_path / "nan", rng, nan_column=3)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", checkpoint, "--data", nan_test]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "accuracy" not in captured.out
+        assert "non-finite" in captured.err
+
+    def test_baseline_rejects_nan_column(self, tmp_path, rng, capsys):
+        train_path, test_path = write_feature_split(tmp_path, rng, nan_column=3)
+        assert main(["baseline", "--train", train_path, "--test", test_path]) == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_train_rejects_nan_column(self, tmp_path, rng):
+        train_path, test_path = write_feature_split(tmp_path, rng, nan_column=3)
+        code = main([
+            "train", "--arch", "ttn:simple-real", "--decoder", "binary",
+            "--data", train_path, "--test-data", test_path,
+            "--seeds", "0", "--out", str(tmp_path / "runs"),
+            "--max-epochs", "1", "--patience", "1",
+        ])
+        assert code == EXIT_DATA
+
+
+class TestInputReads:
+    def test_eval_of_test_file_does_not_warn(self, tmp_path, rng, capsys):
+        train_path, test_path = write_feature_split(tmp_path, rng)
+        checkpoint = train_on_features(tmp_path, train_path, test_path)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", checkpoint, "--data", test_path]) == EXIT_OK
+        assert "fingerprint" not in capsys.readouterr().err
+
+    def test_multi_seed_train_reads_the_dataset_once(self, tmp_path, xxz_file, monkeypatch):
+        reads = []
+
+        def counting(read):
+            def wrapped(path):
+                reads.append(path)
+                return read(path)
+            return wrapped
+
+        monkeypatch.setattr(xxz, "read_jsonl", counting(xxz.read_jsonl))
+        monkeypatch.setattr(mnist, "read_jsonl", counting(mnist.read_jsonl))
+        code = main([
+            "train", "--arch", "ttn:simple-real", "--decoder", "binary",
+            "--data", xxz_file, "--seeds", "0,1,2", "--out", str(tmp_path / "runs"),
+            "--max-epochs", "1", "--patience", "1", "--batch-size", "4",
+        ])
+        assert code == EXIT_OK
+        assert reads == [xxz_file]
 
 
 class TestBaseline:

@@ -2,29 +2,42 @@ import numpy as np
 import pytest
 
 from tnqc.circuits import CircuitTemplate, build_mera, build_ttn, from_descriptor, run
-from tnqc.encoding import encode_features
+from tnqc.encoding import encode_dataset
 from tnqc.gates import BlockKind, Gate, GateOp
 from tnqc.gradients import (
+    batch_energy_and_grad,
     batch_loss_grad,
     diag_readout_projector,
     diag_z_half,
-    expectation,
-    grad_adjoint,
-    grad_finite_diff,
-    grad_param_shift,
-    loss_and_grad_adjoint,
-    loss_and_grad_fd,
-    loss_and_grad_shift,
     make_head,
 )
-from tnqc.statevector import zero_state
+from tnqc.statevector import probabilities, zero_state
 from tnqc.xxz import build_hamiltonian
 
-from conftest import random_state
+from conftest import identity_template, random_state
+from oracles import grad_finite_diff, grad_param_shift, loss_and_grad_fd, loss_and_grad_shift
 
 
 def single_ry_template():
     return CircuitTemplate(1, (GateOp(Gate.RY, (0,), param_slot=0),), 1, (0,), "ry")
+
+
+def adjoint_loss_grad(head, params, state, label):
+    """One example's loss and gradient through the batched adjoint route."""
+    losses, grads, _ = batch_loss_grad(head, params, state[None, :], [label])
+    return float(losses[0]), grads[0]
+
+
+def adjoint_expectation_grad(template, params, state, obs):
+    """<M> and its adjoint gradient, with M passed as a dense one-row Hamiltonian stack."""
+    obs = np.asarray(obs)
+    dense = np.diag(obs) if obs.ndim == 1 else obs
+    energies, grads = batch_energy_and_grad(template, np.asarray(params)[None, :], state, dense[None])
+    return energies[0], grads[0]
+
+
+def encoded(rng):
+    return encode_dataset(rng.uniform(0, 1, (1, 8)))[0]
 
 
 class TestObservables:
@@ -46,9 +59,8 @@ class TestObservables:
         state = random_state(3, rng)
         h = rng.normal(size=(8, 8))
         h = h + h.T
-        assert expectation(state, h) == pytest.approx(
-            np.vdot(state, h @ state).real, abs=1e-12
-        )
+        energies, _ = batch_energy_and_grad(identity_template(3), np.zeros((1, 0)), state, h[None])
+        assert energies[0] == pytest.approx(np.vdot(state, h @ state).real, abs=1e-12)
 
 
 class TestParameterShift:
@@ -112,18 +124,20 @@ class TestFiniteDifference:
 class TestAdjoint:
     def test_value_matches_forward_evaluation(self, rng):
         template = build_mera(BlockKind.GENERAL_SO4)
+        head = make_head("mse_binary", template, 4)
         params = rng.uniform(0, 2 * np.pi, template.n_params)
         state = random_state(8, rng)
-        obs = diag_z_half(8, 2)
-        value, _ = grad_adjoint(template, params, state, obs)
-        assert value == pytest.approx(expectation(run(template, params, state), obs), abs=1e-12)
+        _, _, outs = batch_loss_grad(head, params, state[None, :], [1])
+        probs = probabilities(run(template, params, state))
+        expected = [probs @ diag_z_half(8, q) for q in template.readout]
+        assert np.allclose(outs[0], expected, atol=1e-12)
 
     def test_triple_agreement_expectation(self, rng):
         template = build_ttn(BlockKind.GENERAL_SU4)
         params = rng.uniform(0, 2 * np.pi, template.n_params)
         state = random_state(8, rng)
         obs = diag_readout_projector(8, (2, 5), 2)
-        _, adj = grad_adjoint(template, params, state, obs)
+        _, adj = adjoint_expectation_grad(template, params, state, obs)
         shift = grad_param_shift(template, params, state, obs)
         fd = grad_finite_diff(template, params, state, obs, 1e-4)
         assert np.abs(adj - shift).max() < 1e-12
@@ -133,7 +147,7 @@ class TestAdjoint:
         template = from_descriptor("checkerboard:su4:L2")
         params = rng.uniform(0, 2 * np.pi, template.n_params)
         h = build_hamiltonian(0.7)
-        value, adj = grad_adjoint(template, params, zero_state(8), h)
+        value, adj = adjoint_expectation_grad(template, params, zero_state(8), h)
         shift = grad_param_shift(template, params, zero_state(8), h)
         assert np.abs(adj - shift).max() < 1e-10
         assert value == pytest.approx(
@@ -141,9 +155,11 @@ class TestAdjoint:
         )
 
     def test_rejects_non_rotation_trainables(self):
-        ops = (GateOp(Gate.RY, (0,), param_slot=0),)
-        template = CircuitTemplate(1, ops, 1, (0,), "ok")
-        grad_adjoint(template, [0.1], zero_state(1), diag_z_half(1, 0))  # fine
+        # the sweep differentiates Pauli rotations only; a CNOT cannot hold a slot
+        with pytest.raises(ValueError):
+            GateOp(Gate.CNOT, (0, 1), param_slot=0)
+        for template in (build_mera(BlockKind.GENERAL_SU4), from_descriptor("checkerboard:su4:L2")):
+            assert all(op.gate in (Gate.RY, Gate.RZ) for op in template.ops if op.trainable)
 
 
 class TestLossHeads:
@@ -152,9 +168,9 @@ class TestLossHeads:
         template = build_mera(BlockKind.GENERAL_SU4)
         head = make_head(loss, template, 4)
         params = rng.uniform(0, 2 * np.pi, template.n_params)
-        state = encode_features(rng.uniform(0, 1, 8))
+        state = encoded(rng)
         label = 2
-        l_adj, g_adj = loss_and_grad_adjoint(head, params, state, label)
+        l_adj, g_adj = adjoint_loss_grad(head, params, state, label)
         l_sh, g_sh = loss_and_grad_shift(head, params, state, label)
         l_fd, g_fd = loss_and_grad_fd(head, params, state, label)
         assert l_adj == pytest.approx(l_sh, abs=1e-12)
@@ -166,7 +182,7 @@ class TestLossHeads:
         # zero angles leave the vacuum fixed: outputs (1, 1) = code of class 3
         template = build_ttn(BlockKind.SIMPLE_REAL)
         head = make_head("mse_binary", template, 4)
-        loss, grad = loss_and_grad_adjoint(head, np.zeros(16), zero_state(8), 3)
+        loss, grad = adjoint_loss_grad(head, np.zeros(16), zero_state(8), 3)
         assert loss == pytest.approx(0.0, abs=1e-15)
         assert np.linalg.norm(grad) < 1e-8
 
@@ -175,8 +191,8 @@ class TestLossHeads:
         template = build_ttn(BlockKind.SIMPLE_SU2)
         head = make_head("ce_amplitude", template, 3)
         params = rng.uniform(0, 2 * np.pi, template.n_params)
-        state = encode_features(rng.uniform(0, 1, 8))
-        _, g_adj = loss_and_grad_adjoint(head, params, state, 1)
+        state = encoded(rng)
+        _, g_adj = adjoint_loss_grad(head, params, state, 1)
         _, g_fd = loss_and_grad_fd(head, params, state, 1)
         assert np.abs(g_adj - g_fd).max() < 1e-6
 
@@ -184,11 +200,11 @@ class TestLossHeads:
         template = build_ttn(BlockKind.SIMPLE_REAL)
         head = make_head("mse_binary", template, 4)
         params = rng.uniform(0, 2 * np.pi, template.n_params)
-        states = np.stack([encode_features(rng.uniform(0, 1, 8)) for _ in range(6)])
+        states = encode_dataset(rng.uniform(0, 1, (6, 8)))
         labels = rng.integers(0, 4, 6)
         losses, grads, outs = batch_loss_grad(head, params, states, labels)
         for i in range(6):
-            loss_i, grad_i = loss_and_grad_adjoint(head, params, states[i], labels[i])
+            loss_i, grad_i = adjoint_loss_grad(head, params, states[i], labels[i])
             assert losses[i] == pytest.approx(loss_i, abs=1e-12)
             assert np.abs(grads[i] - grad_i).max() < 1e-12
         assert outs.shape == (6, 2)

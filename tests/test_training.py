@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from tnqc.circuits import build_ttn
+from tnqc import training
+from tnqc.circuits import build_ttn, run_states
 from tnqc.encoding import encode_dataset
 from tnqc.gates import BlockKind
 from tnqc.gradients import batch_loss_grad, make_head
 from tnqc.training import (
+    EVAL_CHUNK,
     AdamState,
     CheckpointError,
     DivergenceError,
@@ -20,6 +22,8 @@ from tnqc.training import (
     split_train_val,
     train,
 )
+
+from conftest import identity_template
 
 
 def toy_dataset(n, seed, n_classes=4):
@@ -79,10 +83,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
-    def test_unknown_monitor_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(monitor="loss")
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
@@ -125,7 +125,8 @@ class TestTrainLoop:
         best = max(r.val_acc for r in history)
         assert checkpoint.best_val_accuracy == pytest.approx(best)
         # returned parameters evaluate to the recorded best accuracy
-        assert evaluate(template, checkpoint.params, val_set, decoder="binary") == pytest.approx(best)
+        head = make_head("mse_binary", template, 4)
+        assert evaluate(head, checkpoint.params, val_set)[0] == pytest.approx(best)
         # stopping happened `patience` epochs after the best epoch (or at cap)
         best_epoch = max((r.val_acc, r.epoch) for r in history)[1]
         if history[-1].epoch < config.max_epochs:
@@ -160,33 +161,55 @@ class TestTrainLoop:
 class TestEvaluate:
     def test_perfect_predictions(self):
         # identity circuit, class bits written straight onto the readout wires
-        from tnqc.circuits import CircuitTemplate
-
-        template = CircuitTemplate(8, (), 0, (2, 5), "identity")
+        template = identity_template(8, (2, 5))
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, 12)
         features = np.zeros((12, 8))
         features[:, 2] = 1.0 - ((labels >> 1) & 1)  # |0> on the wire reads as bit 1
         features[:, 5] = 1.0 - (labels & 1)
         dataset = LabeledStates(encode_dataset(features), labels, 4)
-        acc = evaluate(template, np.zeros(0), dataset, decoder="binary")
+        acc, matrix = evaluate(make_head("mse_binary", template, 4), np.zeros(0), dataset)
         assert acc == 1.0
+        assert np.array_equal(matrix, np.diag(np.bincount(labels, minlength=4)))
 
     def test_random_params_near_chance(self):
         template = build_ttn(BlockKind.GENERAL_SU4)
+        head = make_head("mse_binary", template, 4)
         dataset = toy_dataset(200, seed=7)
         accs = []
         for seed in range(5):
             rng = np.random.default_rng(seed)
             params = rng.uniform(0, 2 * np.pi, template.n_params)
-            accs.append(evaluate(template, params, dataset, decoder="binary"))
+            accs.append(evaluate(head, params, dataset)[0])
         assert abs(np.mean(accs) - 0.25) < 0.1
 
     def test_empty_dataset_rejected(self):
         template = build_ttn(BlockKind.SIMPLE_REAL)
         dataset = toy_dataset(4, seed=0)
         with pytest.raises(ValueError):
-            evaluate(template, np.zeros(16), dataset.subset(np.array([], dtype=int)))
+            evaluate(make_head("mse_binary", template, 4), np.zeros(16), dataset.subset(np.array([], dtype=int)))
+
+    @pytest.mark.parametrize("loss", ["mse_binary", "ce_amplitude"])
+    def test_one_chunked_pass_matches_per_example_predictions(self, loss, monkeypatch):
+        template = build_ttn(BlockKind.SIMPLE_SU2)
+        head = make_head(loss, template, 4)
+        dataset = toy_dataset(EVAL_CHUNK + 88, seed=3)
+        params = np.random.default_rng(1).uniform(0, 2 * np.pi, template.n_params)
+        rows = []
+
+        def counting_run_states(template, params, states):
+            rows.append(len(states))
+            return run_states(template, params, states)
+
+        monkeypatch.setattr(training, "run_states", counting_run_states)
+        acc, matrix = evaluate(head, params, dataset)
+        assert rows == [EVAL_CHUNK, 88]  # every state simulated exactly once
+        preds = head.predict(head.outputs(run_states(template, params, dataset.states)))
+        expected = np.zeros((4, 4), dtype=int)
+        for t, p in zip(dataset.labels, preds):
+            expected[t, p] += 1
+        assert np.array_equal(matrix, expected)
+        assert acc == np.trace(expected) / len(dataset)
 
 
 class TestSplit:
@@ -231,7 +254,9 @@ class TestCheckpointPersistence:
         template = build_ttn(BlockKind.SIMPLE_REAL)
         train_set, val_set = toy_dataset(12, seed=1), toy_dataset(6, seed=2)
         config = TrainConfig(batch_size=4, batches_per_epoch=2, max_epochs=3, patience=3, seed=9)
-        return train(template, config, train_set, val_set, dataset_fingerprint="abc123")
+        checkpoint, history = train(template, config, train_set, val_set)
+        checkpoint.dataset_fingerprints = ("abc123", "def456")
+        return checkpoint, history
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         checkpoint, _ = self.make_checkpoint()
@@ -242,24 +267,7 @@ class TestCheckpointPersistence:
         assert loaded.descriptor == checkpoint.descriptor
         assert loaded.decoder == checkpoint.decoder
         assert loaded.config == checkpoint.config
-        assert loaded.adam.t == checkpoint.adam.t
-        assert np.array_equal(loaded.adam.m, checkpoint.adam.m)
-        assert loaded.dataset_fingerprint == "abc123"
-
-    def test_resume_is_deterministic(self, tmp_path):
-        checkpoint, _ = self.make_checkpoint()
-        path = tmp_path / "model.checkpoint.json"
-        save_checkpoint(checkpoint, path)
-        loaded = load_checkpoint(path)
-        template = build_ttn(BlockKind.SIMPLE_REAL)
-        train_set, val_set = toy_dataset(12, seed=1), toy_dataset(6, seed=2)
-        config = TrainConfig(batch_size=4, batches_per_epoch=2, max_epochs=6, patience=6, seed=9)
-        _, first = train(template, config, train_set, val_set, resume_from=loaded)
-        _, second = train(template, config, train_set, val_set, resume_from=loaded)
-        assert first[0].epoch == checkpoint.epochs_run + 1
-        assert [(r.train_loss, r.val_acc) for r in first] == [
-            (r.train_loss, r.val_acc) for r in second
-        ]
+        assert loaded.dataset_fingerprints == ("abc123", "def456")
 
     def test_corrupted_file_raises_distinct_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -271,9 +279,26 @@ class TestCheckpointPersistence:
         checkpoint, _ = self.make_checkpoint()
         path = tmp_path / "model.json"
         save_checkpoint(checkpoint, path)
-        blob = path.read_text().replace('"version": 1', '"version": 99')
+        blob = path.read_text().replace('"version": 2', '"version": 99')
         path.write_text(blob)
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # version 1 carried Adam moments and one fingerprint; it is not read
+        checkpoint, _ = self.make_checkpoint()
+        path = tmp_path / "model.json"
+        save_checkpoint(checkpoint, path)
+        path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_unknown_decoder_rejected(self, tmp_path):
+        checkpoint, _ = self.make_checkpoint()
+        checkpoint.decoder = "ternary"
+        path = tmp_path / "model.json"
+        save_checkpoint(checkpoint, path)
+        with pytest.raises(CheckpointError, match="decoder"):
             load_checkpoint(path)
 
     def test_parameter_length_mismatch_rejected(self, tmp_path):

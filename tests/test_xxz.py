@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tnqc import xxz
 from tnqc.circuits import build_checkerboard, run
 from tnqc.statevector import zero_state
 from tnqc.xxz import (
@@ -169,25 +170,26 @@ class TestDeltaGrid:
 
 class TestVqe:
     def test_ferromagnet_converges_to_exact_degenerate_ground(self):
-        params, energy = vqe_optimize(-2.0, layers=2, config=FAST_VQE, seed=0)
+        params, energy, exact = vqe_optimize(-2.0, layers=2, config=FAST_VQE, seed=0)
+        assert exact == pytest.approx(-16.0, abs=1e-9)
         assert abs(energy + 16.0) / 16.0 < 0.02
 
     def test_energy_respects_variational_bound(self):
-        params, energy = vqe_optimize(0.5, layers=2, config=FAST_VQE, seed=1)
-        exact = exact_ground_energy(build_hamiltonian(0.5))
+        params, energy, exact = vqe_optimize(0.5, layers=2, config=FAST_VQE, seed=1)
+        assert exact == exact_ground_energy(build_hamiltonian(0.5))
         assert energy >= exact - 1e-9
 
     def test_returned_params_reproduce_energy(self):
-        params, energy = vqe_optimize(-1.5, layers=2, config=FAST_VQE, seed=2)
+        params, energy, _ = vqe_optimize(-1.5, layers=2, config=FAST_VQE, seed=2)
         template = build_checkerboard(8, 2)
         state = run(template, params, zero_state(8))
         h = build_hamiltonian(-1.5)
         assert energy_expectation(state, h) == pytest.approx(energy, abs=1e-9)
 
     def test_warm_start_stays_put_at_optimum(self):
-        cold_params, cold_energy = vqe_optimize(-2.0, layers=2, config=FAST_VQE, seed=0)
+        cold_params, cold_energy, _ = vqe_optimize(-2.0, layers=2, config=FAST_VQE, seed=0)
         config = VqeConfig(warm_iterations=40, learning_rate=0.02, warm_start_noise=0.005)
-        _, warm_energy = vqe_optimize(-2.0, layers=2, warm_start=cold_params, config=config, seed=0)
+        _, warm_energy, _ = vqe_optimize(-2.0, layers=2, warm_start=cold_params, config=config, seed=0)
         assert warm_energy <= cold_energy + 0.05 * 16.0
 
 
@@ -238,6 +240,18 @@ class TestDataset:
         first = run(template, small_dataset[0].params, zero_state(8))
         assert np.allclose(prepared.states[0], first, atol=1e-12)
         assert prepared.n_classes == 3
+
+    def test_one_diagonalization_per_point(self, monkeypatch):
+        calls = []
+
+        def counting(hamiltonian):
+            calls.append(1)
+            return exact_ground_energy(hamiltonian)
+
+        monkeypatch.setattr(xxz, "exact_ground_energy", counting)
+        config = VqeConfig(iterations=5, warm_iterations=3, chains=2)
+        records = generate_dataset(count=6, layers=1, config=config, seed=0)
+        assert len(calls) == len(records) == 6
 
     def test_stratified_split_ratio(self):
         records = [
