@@ -11,6 +11,7 @@ default lower-wire target is used).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,17 +19,12 @@ from .gates import (
     PARAM_COUNT,
     READOUT_ROTATIONS,
     BlockKind,
-    Gate,
+    BlockProgram,
     GateOp,
+    compile_blocks,
     expand_block,
 )
-from .statevector import (
-    _apply_cnot_inplace,
-    _apply_ry_inplace,
-    _apply_rz_inplace,
-    _qubit_view,
-    num_qubits,
-)
+from .statevector import Register, num_qubits
 
 TTN_LAYOUT = (
     ((1, 2), 2),
@@ -86,6 +82,11 @@ class CircuitTemplate:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
+
+    @cached_property
+    def program(self) -> BlockProgram:
+        """``ops`` fused into blocks of at most two wires; compiled on first use."""
+        return compile_blocks(self.ops)
 
 
 def _hierarchical(layout, kind: BlockKind, name: str) -> CircuitTemplate:
@@ -175,31 +176,18 @@ def from_descriptor(descriptor: str, n_qubits: int = CLASSIFIER_QUBITS) -> Circu
     raise ValueError(f"unknown architecture {descriptor!r}; valid: {', '.join(valid)}")
 
 
-def _bind_angle(op: GateOp, params) -> float:
-    return params[op.param_slot] if op.trainable else op.angle
+def _run_blocks(template: CircuitTemplate, unitaries, states: np.ndarray) -> np.ndarray:
+    """Apply the compiled blocks to states ``(B, 2^n)``, one block matrix product each.
 
-
-def _execute(ops, psi, params=None, param_rows=None):
-    """Run ``ops`` in place over a (B, 2^n) array.
-
-    Exactly one of ``params`` (shared across rows) or ``param_rows`` (one
-    parameter vector per row) must be given when the ops contain slots.
+    ``unitaries`` holds each group's ``(R, blocks, d, d)`` matrices, as built
+    by ``template.program.matrices``; R is 1 (shared) or B (one row each).
     """
-    n = num_qubits(psi)
-    for op in ops:
-        if op.gate is Gate.CNOT:
-            _apply_cnot_inplace(psi, n, *op.wires)
-            continue
-        if op.trainable and param_rows is not None:
-            theta = param_rows[:, op.param_slot, None, None]
-        else:
-            theta = _bind_angle(op, params)
-        view = _qubit_view(psi, n, op.wires[0])
-        if op.gate is Gate.RY:
-            _apply_ry_inplace(view, np.cos(theta / 2), np.sin(theta / 2))
-        else:
-            _apply_rz_inplace(view, np.exp(-0.5j * theta))
-    return psi
+    if not template.program.blocks:
+        return np.array(states, dtype=np.complex128)
+    register = Register(states, template.n_qubits)
+    for block in template.program.blocks:
+        register.apply(unitaries[block.group][:, block.index], block.wires)
+    return register.states()
 
 
 def run(template: CircuitTemplate, params, input_state: np.ndarray) -> np.ndarray:
@@ -211,20 +199,19 @@ def run(template: CircuitTemplate, params, input_state: np.ndarray) -> np.ndarra
         )
     if num_qubits(input_state) != template.n_qubits:
         raise ValueError("input state size does not match template qubit count")
-    psi = np.array(input_state, dtype=np.complex128, copy=True).reshape(1, -1)
-    return _execute(template.ops, psi, params=params)[0]
+    psi = np.asarray(input_state).reshape(1, -1)
+    return _run_blocks(template, template.program.matrices(params[None]), psi)[0]
 
 
 def run_states(template: CircuitTemplate, params, states: np.ndarray) -> np.ndarray:
     """Apply the template with shared parameters to a batch of states (B, 2^n)."""
     params = np.asarray(params, dtype=float)
-    psi = np.array(states, dtype=np.complex128, copy=True).reshape(-1, template.dim)
-    return _execute(template.ops, psi, params=params)
+    psi = np.asarray(states).reshape(-1, template.dim)
+    return _run_blocks(template, template.program.matrices(params[None]), psi)
 
 
 def run_many(template: CircuitTemplate, param_rows, input_state: np.ndarray) -> np.ndarray:
     """Apply the template to one input under many parameter vectors (P, n_params)."""
     param_rows = np.asarray(param_rows, dtype=float)
     psi = np.broadcast_to(input_state, (param_rows.shape[0], template.dim))
-    psi = np.array(psi, dtype=np.complex128)
-    return _execute(template.ops, psi, param_rows=param_rows)
+    return _run_blocks(template, template.program.matrices(param_rows), psi)

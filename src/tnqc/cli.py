@@ -71,11 +71,11 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: list, started: str) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, input_hashes: dict, outputs: list, started: str) -> None:
     manifest = {
         "command": command,
         "config": config,
-        "input_hashes": {name: sha256_file(p) for name, p in inputs.items()},
+        "input_hashes": input_hashes,
         "started": started,
         "finished": _utcnow(),
         "outputs": [str(p) for p in outputs],
@@ -139,10 +139,8 @@ def cmd_prepare_mnist(args) -> int:
         "prepare-mnist",
         {"components": args.components, "classes": classes},
         {
-            "images": args.images,
-            "labels": args.labels,
-            "test_images": args.test_images,
-            "test_labels": args.test_labels,
+            name: sha256_file(getattr(args, name))
+            for name in ("images", "labels", "test_images", "test_labels")
         },
         [train_path, test_path, pca_path],
         started,
@@ -288,10 +286,8 @@ def cmd_train(args) -> int:
     summary_path = out_dir / "summary.json"
     atomic_write_text(summary_path, json.dumps(summary, indent=1) + "\n")
     outputs.append(summary_path)
-    inputs = {"data": args.data}
-    if args.test_data:
-        inputs["test_data"] = args.test_data
-    _write_manifest(out_dir, "train", {**settings, "arch": args.arch, "decoder": args.decoder, "seeds": seeds}, inputs, outputs, started)
+    input_hashes = dict(zip(("data", "test_data"), fingerprints))
+    _write_manifest(out_dir, "train", {**settings, "arch": args.arch, "decoder": args.decoder, "seeds": seeds}, input_hashes, outputs, started)
     print(f"test accuracy: {100 * mean:.1f} +- {100 * std:.1f} (over {len(seeds)} seeds)")
     return EXIT_OK
 

@@ -1,6 +1,13 @@
 """Parametric rotations and the two-qubit node blocks used by the circuits.
 
-Every block is compiled to RY/RZ rotations plus CNOTs.  Rotation convention:
+Every node is written out as a gate list of RY/RZ rotations plus CNOTs
+(``expand_block``); that list is the circuit program templates store and
+the oracles read.  For simulation, ``compile_blocks`` fuses consecutive ops
+on at most two wires back into blocks and builds the 4x4 matrices of all
+blocks of one shape, for a whole stack of parameter rows, in one vectorised
+step (``BlockGroup.matrices``), with their derivative matrices only when a
+gradient is asked for.  ``block_matrix`` multiplies one node out gate by gate
+and is kept as the oracle for that step.  Rotation convention:
 ``RY(t) = exp(-i t Y / 2)``, ``RZ(t) = exp(-i t Z / 2)``.  Four block kinds are
 supported, from cheapest to most expressive:
 
@@ -197,6 +204,13 @@ def expand_block(
     raise ValueError(f"unknown block kind: {kind}")
 
 
+def _embed(m: np.ndarray, local: int, width: int) -> np.ndarray:
+    """A one-wire matrix inside a block of ``width`` wires (local wire 0 = high bit)."""
+    if width == 1:
+        return m
+    return np.kron(m, I2) if local == 0 else np.kron(I2, m)
+
+
 def op_matrix_2q(op: GateOp, wire_a: int, wire_b: int) -> np.ndarray:
     """4x4 matrix of a single op inside the two-wire basis (wire_a = high bit)."""
     if op.gate is Gate.CNOT:
@@ -206,7 +220,7 @@ def op_matrix_2q(op: GateOp, wire_a: int, wire_b: int) -> np.ndarray:
     if angle is None:
         raise ValueError("op_matrix_2q needs bound angles; use block_matrix for slots")
     u = ROTATION_MATRIX[op.gate](angle)
-    return np.kron(u, I2) if op.wires[0] == wire_a else np.kron(I2, u)
+    return _embed(u, 0 if op.wires[0] == wire_a else 1, 2)
 
 
 def block_matrix(kind: BlockKind, params, cnot_target: int | None = None) -> np.ndarray:
@@ -223,3 +237,134 @@ def block_matrix(kind: BlockKind, params, cnot_target: int | None = None) -> np.
             op = GateOp(op.gate, op.wires, angle=float(params[op.param_slot]))
         u = op_matrix_2q(op, 0, 1) @ u
     return u
+
+
+# ---------------------------------------------------------------------------
+# block compilation
+
+# -i times each rotation's Pauli generator P, so that
+# exp(-i t P / 2) = cos(t/2) I + sin(t/2) Q and d/dt of it is (Q/2) times it.
+_MINUS_I_PAULI = {
+    Gate.RY: np.array([[0, -1], [1, 0]], dtype=np.complex128),
+    Gate.RZ: np.array([[-1j, 0], [0, 1j]], dtype=np.complex128),
+}
+
+
+@dataclass(frozen=True)
+class Block:
+    """One fused run of ops: the wires it acts on and where its matrix is built."""
+
+    wires: tuple[int, ...]  # the first wire is the high bit of the block's basis
+    group: int  # index into BlockProgram.groups
+    index: int  # row of this block in its group's matrix stack
+
+
+class BlockGroup:
+    """The blocks that share one op sequence, relative to their wires.
+
+    A block's matrix is ``U = F_w G_{w-1} F_{w-1} ... G_0 F_0``: trainable
+    rotations ``G_k = cos(t_k/2) I + sin(t_k/2) Q_k`` with the fixed ops between them
+    (CNOTs, fixed-angle rotations) pre-multiplied into one constant ``F_k``
+    per stretch.  Every ``Q_k`` is an embedded ``-i Y`` or ``-i Z``, which
+    has one nonzero per column, so multiplying by it is a column gather.  The
+    matrices of all blocks in the group are built together, for a stack of
+    parameter rows, by one right-to-left sweep of ``U``'s factors.
+    """
+
+    def __init__(self, local_ops: tuple[GateOp, ...], width: int, slots):
+        self.dim = 1 << width
+        self.slots = np.array(slots, dtype=int)  # (blocks, trainable ops): angle slots
+        gens, fixed = [], [None]  # fixed[k]: product of the fixed ops before trainable op k
+        for op in local_ops:
+            if op.trainable:
+                gens.append(_embed(_MINUS_I_PAULI[op.gate], op.wires[0], width))
+                fixed.append(None)
+                continue
+            m = op_matrix_2q(op, 0, 1) if width == 2 else ROTATION_MATRIX[op.gate](op.angle)
+            fixed[-1] = m if fixed[-1] is None else m @ fixed[-1]
+        self.fixed = fixed
+        # X @ Q_k == X[..., q_rows[k]] * q_vals[k]; an RZ's Q_k is diagonal
+        self.q_rows = np.array([np.abs(q).argmax(axis=0) for q in gens], dtype=int).reshape(-1, self.dim)
+        self.q_vals = np.array(
+            [q[rows, np.arange(self.dim)] for q, rows in zip(gens, self.q_rows)], dtype=np.complex128
+        ).reshape(-1, self.dim)
+        self.diagonal = [bool(np.all(rows == np.arange(self.dim))) for rows in self.q_rows]
+
+    def matrices(self, param_rows: np.ndarray, derivatives: bool = False):
+        """Block matrices for parameter rows ``(R, n_params)``: ``(R, blocks, d, d)``.
+
+        With ``derivatives`` returns the pair of those and the
+        ``(R, blocks, w, d, d)`` matrices ``E_k = S_k (Q_k / 2) S_k^dagger``,
+        where ``S_k`` is the product of the block's ops after trainable op
+        ``k``.  For states ``|ket>`` and ``|bra>`` taken just after the block,
+        the derivative of ``2 Re <bra|ket>`` by angle ``k`` is
+        ``2 Re sum_ij M_ij (E_k)_ij`` with ``M_ij = sum_rest conj(bra_i) ket_j``.
+        """
+        half = param_rows[:, self.slots] / 2  # (R, blocks, w)
+        cos, sin = np.cos(half)[..., None], np.sin(half)[..., None]
+        off = sin * self.q_vals  # (R, blocks, w, d): X @ G_k = X c_k + X[..., q_rows[k]] off_k
+        diag = cos + off  # X @ G_k = X diag_k when Q_k is diagonal
+        shape = half.shape[:2] + (self.dim, self.dim)
+        last = np.eye(self.dim) if self.fixed[-1] is None else self.fixed[-1]
+        x = np.array(np.broadcast_to(last, shape), dtype=np.complex128)  # S_w = F_w
+        suffixes, suffixes_q = [], []
+        for k in reversed(range(len(self.diagonal))):
+            if derivatives:
+                suffixes.append(x)
+                suffixes_q.append(x[..., self.q_rows[k]] * self.q_vals[k])  # S_k Q_k
+            if self.diagonal[k]:
+                x = x * diag[:, :, None, k]
+            else:
+                x = x * cos[:, :, None, k] + x[..., self.q_rows[k]] * off[:, :, None, k]
+            if self.fixed[k] is not None:  # one product for the whole stack
+                x = (x.reshape(-1, self.dim) @ self.fixed[k]).reshape(shape)
+        if not derivatives:
+            return x
+        if not suffixes:
+            return x, np.zeros(shape[:2] + (0,) + shape[2:], dtype=np.complex128)
+        s = np.stack(suffixes[::-1], axis=2)
+        return x, (np.stack(suffixes_q[::-1], axis=2) / 2) @ s.conj().swapaxes(-1, -2)
+
+
+@dataclass(frozen=True)
+class BlockProgram:
+    """A gate program fused into blocks of at most two wires, in program order."""
+
+    blocks: tuple[Block, ...]
+    groups: tuple[BlockGroup, ...]
+
+    def matrices(self, param_rows: np.ndarray, derivatives: bool = False) -> list:
+        """``BlockGroup.matrices`` of every group, in group order."""
+        return [group.matrices(param_rows, derivatives) for group in self.groups]
+
+
+def compile_blocks(ops) -> BlockProgram:
+    """Fuse consecutive ops into blocks while they touch at most two wires.
+
+    Blocks whose ops are the same relative to their wires share a group; a
+    block's first-touched wire is the high bit of its basis.
+    """
+    runs: list[tuple[list[int], list[GateOp]]] = []
+    for op in ops:
+        if runs and len(set(runs[-1][0]).union(op.wires)) <= 2:
+            runs[-1][0].extend(q for q in op.wires if q not in runs[-1][0])
+            runs[-1][1].append(op)
+        else:
+            runs.append((list(op.wires), [op]))
+    keys: dict[tuple, list] = {}  # (width, local ops) -> slot rows of its blocks
+    placed = []
+    for wires, run_ops in runs:
+        local = tuple(
+            GateOp(
+                op.gate,
+                tuple(wires.index(q) for q in op.wires),
+                param_slot=0 if op.trainable else None,
+                angle=op.angle,
+            )
+            for op in run_ops
+        )
+        rows = keys.setdefault((len(wires), local), [])
+        placed.append((tuple(wires), list(keys).index((len(wires), local)), len(rows)))
+        rows.append([op.param_slot for op in run_ops if op.trainable])
+    groups = tuple(BlockGroup(local, width, rows) for (width, local), rows in keys.items())
+    return BlockProgram(tuple(Block(*p) for p in placed), groups)

@@ -1,9 +1,14 @@
 """Adjoint gradients of circuit losses and energies with respect to the angles.
 
-Every trainable gate is a Pauli-half rotation, so one reverse sweep over the
-forward output states gives the derivative of ``<bra|ket>`` for all angles
-at once: two statevector passes in total, independent of the parameter
-count (Jones & Gacon, arXiv:2009.02823).
+Two passes over the states, independent of the parameter count (Jones &
+Gacon, arXiv:2009.02823), taken block by block rather than gate by gate: the
+forward pass applies the compiled two-qubit blocks; the reverse pass walks
+them last to first, records for each block and example the reduced 4x4
+bra-ket matrix ``M`` of its two wires and then undoes the block on both
+states.  Every trainable gate is a Pauli-half rotation, so each angle's
+derivative is ``2 Re sum(M * E_k)`` with the block's derivative matrix
+``E_k`` (``gates.BlockGroup.matrices``), contracted for all blocks of one
+shape in one ``einsum`` at the end.
 
 The loss heads are the only decoders: they turn output states into readout
 values, losses, predictions and the weights of the classical chain rule.
@@ -17,16 +22,7 @@ import numpy as np
 
 from .circuits import CircuitTemplate, run_many, run_states
 from .encoding import binary_code, softmax
-from .gates import Gate
-from .statevector import (
-    _apply_cnot_inplace,
-    _apply_ry_inplace,
-    _apply_rz_inplace,
-    _pair_overlap_y,
-    _pair_overlap_z,
-    _qubit_view,
-    probabilities,
-)
+from .statevector import Register, probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -52,42 +48,33 @@ def diag_readout_projector(n_qubits: int, readout, outcome: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # adjoint sweep
 
-def _adjoint_sweep(template: CircuitTemplate, kets, bras, params=None, param_rows=None) -> np.ndarray:
+def _adjoint_sweep(template: CircuitTemplate, param_rows, kets, bras) -> np.ndarray:
     """Reverse pass computing d<bra|ket>/d theta_k for all slots at once.
 
     ``kets`` must hold the forward output states and ``bras`` the observable
-    already applied to them (possibly weighted); both are consumed.  Angles
-    come from ``params`` (shared) or ``param_rows`` (one vector per row).
+    already applied to them (possibly weighted).  ``param_rows`` is
+    ``(1, n_params)`` (shared) or one row per state.  Each block, last first,
+    records the reduced bra-ket matrix ``M`` of its wires and then undoes
+    itself on both states; the gradient of each block's angles is one
+    contraction of ``M`` with the block's derivative matrices at the end.
     """
-    n = template.n_qubits
-    grads = np.zeros((kets.shape[0], template.n_params))
-    for op in reversed(template.ops):
-        if op.gate is Gate.CNOT:
-            _apply_cnot_inplace(kets, n, *op.wires)
-            _apply_cnot_inplace(bras, n, *op.wires)
-            continue
-        kview = _qubit_view(kets, n, op.wires[0])
-        bview = _qubit_view(bras, n, op.wires[0])
-        if op.trainable:
-            # d/dt exp(-i t G/2) applied to the pre-gate ket equals
-            # (-i/2) G |k_after>; the 2 Re(...) of the bra-ket pairing then
-            # collapses to Im <bra| G |k_after>, evaluated before undoing U.
-            overlap = _pair_overlap_y if op.gate is Gate.RY else _pair_overlap_z
-            grads[:, op.param_slot] = overlap(bview, kview)
-            if param_rows is not None:
-                angle = param_rows[:, op.param_slot, None, None]
-            else:
-                angle = params[op.param_slot]
-        else:
-            angle = op.angle
-        if op.gate is Gate.RY:
-            c, s = np.cos(angle / 2), np.sin(-angle / 2)
-            _apply_ry_inplace(kview, c, s)
-            _apply_ry_inplace(bview, c, s)
-        else:
-            phase = np.exp(0.5j * angle)
-            _apply_rz_inplace(kview, phase)
-            _apply_rz_inplace(bview, phase)
+    program = template.program
+    built = program.matrices(param_rows, derivatives=True)
+    n_rows = kets.shape[0]
+    brakets = [
+        np.empty((n_rows,) + group.slots.shape[:1] + (group.dim, group.dim), dtype=np.complex128)
+        for group in program.groups
+    ]
+    register = Register(np.stack([kets, bras]), template.n_qubits)
+    for block in reversed(program.blocks):
+        pair = register.gather(block.wires)  # (2, B, d, rest): kets, bras
+        brakets[block.group][:, block.index] = pair[1].conj() @ pair[0].swapaxes(-1, -2)
+        if block is not program.blocks[0]:  # nothing precedes the first block
+            u = built[block.group][0][:, block.index]
+            register.put(u.conj().swapaxes(-1, -2) @ pair)
+    grads = np.zeros((n_rows, template.n_params))
+    for group, (_, derivs), m in zip(program.groups, built, brakets):
+        grads[:, group.slots] = 2 * np.einsum("...nij,...npij->...np", m, derivs).real
     return grads
 
 
@@ -195,7 +182,7 @@ def batch_loss_grad(head, params, states, labels):
     losses = head.losses(outs, labels)
     weights = head.output_weights(outs, labels)
     bras = kets * (weights @ head.masks)
-    grads = _adjoint_sweep(head.template, kets, bras, params=params)
+    grads = _adjoint_sweep(head.template, params[None], kets, bras)
     return losses, grads, outs
 
 
@@ -206,8 +193,14 @@ def batch_energy_and_grad(template: CircuitTemplate, param_rows, input_state, ha
     optimizations in lockstep.
     """
     param_rows = np.asarray(param_rows, dtype=float)
+    hamiltonians = np.asarray(hamiltonians)
     kets = run_many(template, param_rows, input_state)
-    bras = np.einsum("bij,bj->bi", hamiltonians, kets)
+    if np.isrealobj(hamiltonians):
+        # a real H takes the real and imaginary parts as two columns of one real product
+        parts = np.ascontiguousarray(kets).view(np.float64).reshape(kets.shape + (2,))
+        bras = (hamiltonians @ parts).view(np.complex128)[..., 0]
+    else:
+        bras = np.einsum("bij,bj->bi", hamiltonians, kets)
     energies = np.einsum("bi,bi->b", kets.conj(), bras).real
-    grads = _adjoint_sweep(template, kets, bras, param_rows=param_rows)
+    grads = _adjoint_sweep(template, param_rows, kets, bras)
     return energies, grads

@@ -192,6 +192,8 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: not a feature file")
     if header.get("version") != FEATURES_VERSION:
         raise ValueError(f"{path}: unsupported feature file version")
+    if not rows:
+        raise ValueError(f"{path}: feature file has no rows")
     features = np.array([row["features"] for row in rows], dtype=float)
     labels = np.array([row["label"] for row in rows], dtype=int)
     if not np.all(np.isfinite(features)):

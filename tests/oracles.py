@@ -1,12 +1,42 @@
-"""Gradient oracles for the adjoint sweep: the parameter-shift rule and finite differences.
+"""Oracles for the simulator: a dense unitary, the parameter-shift rule and finite differences.
 
-Both run the circuit once per shifted parameter vector with ``run_many``.  The shift
-rule is exact for Pauli-half rotations; central differences carry an O(step^2) error.
+``dense_unitary`` multiplies out a template's gate list with explicit kron products and
+uses no simulator kernel.  The gradient oracles run the circuit once per shifted
+parameter vector with ``run_many``.  The shift rule is exact for Pauli-half rotations;
+central differences carry an O(step^2) error.
 """
 import numpy as np
 
 from tnqc.circuits import run_many, run_states
+from tnqc.gates import Gate, ry, rz
 from tnqc.statevector import probabilities
+
+
+def dense_unitary(template, params) -> np.ndarray:
+    """The template's full 2^n x 2^n matrix, accumulated op by op from kron chains."""
+    full = np.eye(template.dim, dtype=complex)
+    for op in template.ops:
+        full = _embed(op, params, template.n_qubits) @ full
+    return full
+
+
+def _embed(op, params, n):
+    if op.gate is Gate.CNOT:
+        control, target = op.wires
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        return _chain({control: p0}, n) + _chain({control: p1, target: x}, n)
+    angle = params[op.param_slot] if op.trainable else op.angle
+    mat = ry(angle) if op.gate is Gate.RY else rz(angle)
+    return _chain({op.wires[0]: mat}, n)
+
+
+def _chain(placements, n):
+    out = np.array([[1.0 + 0j]])
+    for q in range(n):
+        out = np.kron(out, placements.get(q, np.eye(2, dtype=complex)))
+    return out
 
 
 def shifted_rows(params, delta):

@@ -322,19 +322,20 @@ def test_criterion_9_invariant_suites():
     tic = time.perf_counter()
     rng = np.random.default_rng(31)
 
-    # statevector norm preservation under random gate sequences
-    from tnqc.statevector import apply_1q, apply_2q
+    # statevector norm preservation under random gate sequences, run through
+    # one register as a compiled circuit runs its blocks
+    from tnqc.statevector import Register
 
     worst_norm = 0.0
     for _ in range(100):
-        state = random_state(6, rng)
+        register = Register(random_state(6, rng), 6)
         for _ in range(10):
             if rng.random() < 0.5:
-                state = apply_1q(state, random_unitary(2, rng), int(rng.integers(6)))
+                register.apply(random_unitary(2, rng), (int(rng.integers(6)),))
             else:
                 q = rng.choice(6, size=2, replace=False)
-                state = apply_2q(state, random_unitary(4, rng), int(q[0]), int(q[1]))
-        worst_norm = max(worst_norm, norm_error(state))
+                register.apply(random_unitary(4, rng), (int(q[0]), int(q[1])))
+        worst_norm = max(worst_norm, norm_error(register.states()))
 
     # decoder output is a distribution
     worst_sum = 0.0

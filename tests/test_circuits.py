@@ -14,9 +14,10 @@ from tnqc.circuits import (
     run_many,
     run_states,
 )
-from tnqc.gates import BlockKind, Gate, GateOp, ry, rz
+from tnqc.gates import BlockKind, Gate, GateOp
 
 from conftest import random_state
+from oracles import dense_unitary
 
 PARAM_COUNTS = {
     ("ttn", BlockKind.GENERAL_SU4): 105,
@@ -162,9 +163,7 @@ class TestRun:
         template = build_ttn(BlockKind.GENERAL_SU4)
         params = rng.uniform(0, 2 * np.pi, template.n_params)
         state = random_state(8, rng)
-        full = np.eye(256, dtype=complex)
-        for op in template.ops:
-            full = _embed(op, params, 8) @ full
+        full = dense_unitary(template, params)
         assert np.allclose(run(template, params, state), full @ state, atol=1e-12)
 
     def test_deterministic(self, rng):
@@ -217,21 +216,3 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             from_descriptor("checkerboard:su4:Lx")
 
-
-def _embed(op, params, n):
-    if op.gate is Gate.CNOT:
-        control, target = op.wires
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        return _chain({control: p0}, n) + _chain({control: p1, target: x}, n)
-    angle = params[op.param_slot] if op.trainable else op.angle
-    mat = ry(angle) if op.gate is Gate.RY else rz(angle)
-    return _chain({op.wires[0]: mat}, n)
-
-
-def _chain(placements, n):
-    out = np.array([[1.0 + 0j]])
-    for q in range(n):
-        out = np.kron(out, placements.get(q, np.eye(2, dtype=complex)))
-    return out

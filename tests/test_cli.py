@@ -289,6 +289,13 @@ class TestBadFeatures:
         ])
         assert code == EXIT_DATA
 
+    def test_baseline_rejects_empty_feature_file(self, tmp_path, rng, capsys):
+        train_path, _ = write_feature_split(tmp_path, rng)
+        empty_path = tmp_path / "empty.jsonl"
+        save_features(empty_path, np.zeros((0, 8)), np.zeros(0, dtype=int))
+        assert main(["baseline", "--train", train_path, "--test", str(empty_path)]) == EXIT_DATA
+        assert "no rows" in capsys.readouterr().err
+
 
 class TestInputReads:
     def test_eval_of_test_file_does_not_warn(self, tmp_path, rng, capsys):
@@ -316,6 +323,22 @@ class TestInputReads:
         ])
         assert code == EXIT_OK
         assert reads == [xxz_file]
+
+    def test_train_hashes_each_input_once(self, tmp_path, rng, monkeypatch):
+        from tnqc import cli
+
+        train_path, test_path = write_feature_split(tmp_path, rng)
+        hashed, sha256_file = [], cli.sha256_file
+
+        def counting(path):
+            hashed.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(cli, "sha256_file", counting)
+        train_on_features(tmp_path, train_path, test_path)
+        assert sorted(hashed) == sorted([train_path, test_path])
+        manifest = json.loads((tmp_path / "runs" / "train.manifest.json").read_text())
+        assert set(manifest["input_hashes"]) == {"data", "test_data"}
 
 
 class TestBaseline:

@@ -183,13 +183,44 @@ class TestMeasurement:
 
 
 def test_norm_preserved_over_random_gate_sequences():
+    # one register for the whole sequence, so the wire axes move between
+    # gates as they do when a compiled circuit runs
     rng = np.random.default_rng(99)
     for _ in range(100):
-        state = random_state(6, rng)
+        register = sv.Register(random_state(6, rng), 6)
         for _ in range(20):
             if rng.random() < 0.5:
-                state = sv.apply_1q(state, random_unitary(2, rng), int(rng.integers(6)))
+                register.apply(random_unitary(2, rng), (int(rng.integers(6)),))
             else:
                 q = rng.choice(6, size=2, replace=False)
-                state = sv.apply_2q(state, random_unitary(4, rng), int(q[0]), int(q[1]))
-        assert sv.norm_error(state) < 1e-10
+                register.apply(random_unitary(4, rng), (int(q[0]), int(q[1])))
+        assert sv.norm_error(register.states()) < 1e-10
+
+
+class TestRegister:
+    def test_sequence_matches_single_gate_entry_points(self, rng):
+        state = random_state(5, rng)
+        register = sv.Register(state, 5)
+        for _ in range(12):
+            q = [int(w) for w in rng.choice(5, size=2, replace=False)]
+            u = random_unitary(4, rng)
+            register.apply(u, tuple(q))
+            state = sv.apply_2q(state, u, *q)
+            v = random_unitary(2, rng)
+            register.apply(v, (q[0],))
+            state = sv.apply_1q(state, v, q[0])
+        assert np.allclose(register.states(), state, atol=1e-12)
+
+    def test_per_row_matrices(self, rng):
+        states = np.stack([random_state(4, rng) for _ in range(3)])
+        us = np.stack([random_unitary(4, rng) for _ in range(3)])
+        out = sv.apply_2q(states, us, 3, 1)
+        for row, state, u in zip(out, states, us):
+            assert np.allclose(row, sv.apply_2q(state, u, 3, 1), atol=1e-12)
+
+    def test_input_is_not_modified(self, rng):
+        states = np.stack([random_state(3, rng) for _ in range(2)])
+        before = states.copy()
+        sv.apply_2q(states, random_unitary(4, rng), 0, 1)
+        sv.apply_1q(states, random_unitary(2, rng), 0)
+        assert np.array_equal(states, before)
