@@ -66,6 +66,8 @@ class CircuitTemplate:
     n_params: int
     readout: tuple[int, ...]
     descriptor: str
+    # ops per fusion unit (one node or one readout rotation); () makes every op a unit
+    units: tuple[int, ...] = ()
 
     def __post_init__(self):
         slots = sorted(op.param_slot for op in self.ops if op.trainable)
@@ -85,22 +87,26 @@ class CircuitTemplate:
 
     @cached_property
     def program(self) -> BlockProgram:
-        """``ops`` fused into blocks of at most two wires; compiled on first use."""
-        return compile_blocks(self.ops)
+        """``ops`` fused unit by unit into blocks of at most two wires; compiled on first use."""
+        return compile_blocks(self.ops, self.units or None)
 
 
 def _hierarchical(layout, kind: BlockKind, name: str) -> CircuitTemplate:
     ops: list[GateOp] = []
+    units: list[int] = []
     slot = 0
     for (a, b), keep in layout:
         width = PARAM_COUNT[kind]
         target = None if keep is None else keep - 1
-        ops.extend(expand_block(kind, a - 1, b - 1, range(slot, slot + width), cnot_target=target))
+        node = expand_block(kind, a - 1, b - 1, range(slot, slot + width), cnot_target=target)
+        ops.extend(node)
+        units.append(len(node))
         slot += width
     readout = tuple(q - 1 for q in CLASSIFIER_READOUT)
     for q in readout:
         for gate in READOUT_ROTATIONS[kind]:
             ops.append(GateOp(gate, (q,), param_slot=slot))
+            units.append(1)
             slot += 1
     return CircuitTemplate(
         n_qubits=CLASSIFIER_QUBITS,
@@ -108,6 +114,7 @@ def _hierarchical(layout, kind: BlockKind, name: str) -> CircuitTemplate:
         n_params=slot,
         readout=readout,
         descriptor=f"{name}:{kind.value}",
+        units=tuple(units),
     )
 
 
@@ -135,6 +142,7 @@ def build_checkerboard(n_qubits: int, layers: int, periodic: bool = True) -> Cir
     kind = BlockKind.GENERAL_SU4
     width = PARAM_COUNT[kind]
     ops: list[GateOp] = []
+    units: list[int] = []
     slot = 0
     for layer in range(1, layers + 1):
         if layer % 2:
@@ -144,7 +152,9 @@ def build_checkerboard(n_qubits: int, layers: int, periodic: bool = True) -> Cir
             if periodic:
                 pairs.append((n_qubits, 1))
         for a, b in pairs:
-            ops.extend(expand_block(kind, a - 1, b - 1, range(slot, slot + width)))
+            node = expand_block(kind, a - 1, b - 1, range(slot, slot + width))
+            ops.extend(node)
+            units.append(len(node))
             slot += width
     return CircuitTemplate(
         n_qubits=n_qubits,
@@ -152,6 +162,7 @@ def build_checkerboard(n_qubits: int, layers: int, periodic: bool = True) -> Cir
         n_params=slot,
         readout=(),
         descriptor=f"checkerboard:su4:L{layers}",
+        units=tuple(units),
     )
 
 

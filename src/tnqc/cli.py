@@ -19,13 +19,15 @@ import numpy as np
 from . import __version__
 from .circuits import from_descriptor
 from .encoding import encode_dataset
-from .fileio import atomic_write_text, sha256_file
+from .fileio import atomic_write_text, parse_jsonl, read_hashed
 from .gradients import make_head
 from .mnist import (
     FEATURES_FORMAT,
     IdxError,
+    image_label_pair,
     load_features,
-    load_image_label_pair,
+    parse_features,
+    parse_idx,
     prepare_features,
     save_features,
     save_pca,
@@ -49,7 +51,7 @@ from .xxz import (
     VqeConfig,
     dataset_summary,
     generate_dataset,
-    load_records,
+    parse_records,
     save_records,
     split_records,
     states_from_records,
@@ -104,14 +106,14 @@ def _load_config_file(path) -> dict:
     return overrides
 
 
-def _dataset_kind(path) -> str:
-    """Format named in a dataset file's header line; the rows are not read."""
-    with open(path) as f:
-        header = json.loads(next((line for line in f if line.strip()), "null"))
-    kind = header.get("format") if isinstance(header, dict) else None
+def _read_dataset(path):
+    """(format, header, rows, sha256) of a dataset file, from one read of it."""
+    data, digest = read_hashed(path)
+    header, rows = parse_jsonl(data.decode(), path)
+    kind = header.get("format")
     if kind not in (DATASET_FORMAT, FEATURES_FORMAT):
         raise CliDataError(f"{path}: unrecognized dataset format {kind!r}")
-    return kind
+    return kind, header, rows, digest
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +124,14 @@ def cmd_prepare_mnist(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     classes = _parse_int_list(args.classes)
-    train_images, train_labels = load_image_label_pair(args.images, args.labels)
-    test_images, test_labels = load_image_label_pair(args.test_images, args.test_labels)
+    arrays, hashes = {}, {}
+    for name in ("images", "labels", "test_images", "test_labels"):
+        data, hashes[name] = read_hashed(getattr(args, name))
+        arrays[name] = parse_idx(data)
+    train_images, train_labels = image_label_pair(arrays["images"], arrays["labels"], args.images, args.labels)
+    test_images, test_labels = image_label_pair(
+        arrays["test_images"], arrays["test_labels"], args.test_images, args.test_labels
+    )
     train_x, train_y, test_x, test_y, model = prepare_features(
         train_images, train_labels, test_images, test_labels, k=args.components, classes=classes
     )
@@ -138,10 +146,7 @@ def cmd_prepare_mnist(args) -> int:
         out_dir,
         "prepare-mnist",
         {"components": args.components, "classes": classes},
-        {
-            name: sha256_file(getattr(args, name))
-            for name in ("images", "labels", "test_images", "test_labels")
-        },
+        hashes,
         [train_path, test_path, pca_path],
         started,
     )
@@ -192,31 +197,37 @@ def cmd_gen_xxz(args) -> int:
     return EXIT_OK
 
 
-def _load_train_test(args, kind: str):
-    """Read and prepare the training data once for every seed.
+def _load_train_test(args, kind: str, header: dict, rows: list, digest: str):
+    """Prepare the training data, read once as ``header`` and ``rows``, for every seed.
 
     Returns the sha256 fingerprints of the files read and a function of the
     seed that gives the (train, test) state sets: an XXZ dataset is split
-    2:1 per seed, feature files come with their own test split.
+    2:1 per seed from states prepared once, feature files come with their
+    own test split.
     """
     if kind == DATASET_FORMAT:
-        records = load_records(args.data)
+        records = parse_records(header, rows, args.data)
+        prepared = states_from_records(records)
+        position = {id(record): i for i, record in enumerate(records)}
 
         def split(seed):
-            train_records, test_records = split_records(records, (2, 1), seed)
-            return states_from_records(train_records), states_from_records(test_records)
+            parts = split_records(records, (2, 1), seed)
+            if not all(parts):
+                raise CliDataError(f"{args.data}: too few records for a 2:1 train/test split")
+            return tuple(prepared.subset([position[id(r)] for r in part]) for part in parts)
 
-        return (sha256_file(args.data),), split
+        return (digest,), split
     if not args.test_data:
         raise CliDataError("feature datasets need --test-data for the test split")
-    train_x, train_y = load_features(args.data)
-    test_x, test_y = load_features(args.test_data)
+    train_x, train_y = parse_features(header, rows, args.data)
+    _, test_header, test_rows, test_digest = _read_dataset(args.test_data)
+    test_x, test_y = parse_features(test_header, test_rows, args.test_data)
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     sets = (
         LabeledStates(encode_dataset(train_x), train_y, n_classes),
         LabeledStates(encode_dataset(test_x), test_y, n_classes),
     )
-    return (sha256_file(args.data), sha256_file(args.test_data)), lambda seed: sets
+    return (digest, test_digest), lambda seed: sets
 
 
 def _train_defaults(kind: str) -> dict:
@@ -235,7 +246,7 @@ def cmd_train(args) -> int:
     seeds = _parse_int_list(args.seeds)
     if not seeds:
         raise CliDataError("--seeds must name at least one seed")
-    kind = _dataset_kind(args.data)
+    kind, header, rows, digest = _read_dataset(args.data)
 
     settings = _train_defaults(kind)
     settings["learning_rate"] = 0.001
@@ -252,7 +263,7 @@ def cmd_train(args) -> int:
         if value is not None:
             settings[flag] = value
     loss = DECODER_LOSS[args.decoder]
-    fingerprints, split = _load_train_test(args, kind)
+    fingerprints, split = _load_train_test(args, kind, header, rows, digest)
 
     accuracies = []
     outputs = []
@@ -295,21 +306,21 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     template = from_descriptor(checkpoint.descriptor)
-    kind = _dataset_kind(args.data)
+    kind, header, rows, digest = _read_dataset(args.data)
     fingerprints = checkpoint.dataset_fingerprints
-    if fingerprints and sha256_file(args.data) not in fingerprints:
+    if fingerprints and digest not in fingerprints:
         print(
             "warning: dataset fingerprint differs from the ones recorded at training time",
             file=sys.stderr,
         )
     if kind == DATASET_FORMAT:
-        dataset = states_from_records(load_records(args.data))
+        dataset = states_from_records(parse_records(header, rows, args.data))
         if dataset.n_classes != checkpoint.n_classes:
             raise CliDataError(
                 f"checkpoint expects {checkpoint.n_classes} classes, dataset has {dataset.n_classes}"
             )
     else:
-        features, labels = load_features(args.data)
+        features, labels = parse_features(header, rows, args.data)
         if labels.max() >= checkpoint.n_classes:
             raise CliDataError(
                 f"dataset label {int(labels.max())} outside the checkpoint's "

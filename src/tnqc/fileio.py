@@ -23,12 +23,11 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
+def read_hashed(path) -> tuple[bytes, str]:
+    """A file's bytes and their sha256 hex digest, from one read."""
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        data = f.read()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def write_jsonl(path, header: dict, rows) -> None:
@@ -41,10 +40,15 @@ def write_jsonl(path, header: dict, rows) -> None:
 def read_jsonl(path) -> tuple[dict, list[dict]]:
     """Return (header, rows) of a versioned JSON Lines file."""
     with open(path) as f:
-        lines = [line for line in f.read().splitlines() if line.strip()]
+        return parse_jsonl(f.read(), path)
+
+
+def parse_jsonl(text: str, name) -> tuple[dict, list[dict]]:
+    """(header, rows) of the text of a versioned JSON Lines file; ``name`` labels errors."""
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty dataset file")
+        raise ValueError(f"{name}: empty dataset file")
     header = json.loads(lines[0])
     if not isinstance(header, dict) or "format" not in header:
-        raise ValueError(f"{path}: first line is not a dataset header")
+        raise ValueError(f"{name}: first line is not a dataset header")
     return header, [json.loads(line) for line in lines[1:]]

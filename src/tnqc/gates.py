@@ -2,11 +2,13 @@
 
 Every node is written out as a gate list of RY/RZ rotations plus CNOTs
 (``expand_block``); that list is the circuit program templates store and
-the oracles read.  For simulation, ``compile_blocks`` fuses consecutive ops
-on at most two wires back into blocks and builds the 4x4 matrices of all
-blocks of one shape, for a whole stack of parameter rows, in one vectorised
-step (``BlockGroup.matrices``), with their derivative matrices only when a
-gradient is asked for.  ``block_matrix`` multiplies one node out gate by gate
+the oracles read.  For simulation, ``compile_blocks`` fuses it back into
+blocks of at most two wires.  Its unit is a whole node (or one readout
+rotation), so a node is never split between blocks: every node of one kind
+compiles to the same block shape, and the checkerboard ansatz is one group.
+The 4x4 matrices of all blocks of one shape are built for a whole stack of
+parameter rows in one vectorised step (``BlockGroup.matrices``), with their
+derivative matrices only when a gradient is asked for.  ``block_matrix`` multiplies one node out gate by gate
 and is kept as the oracle for that step.  Rotation convention:
 ``RY(t) = exp(-i t Y / 2)``, ``RZ(t) = exp(-i t Z / 2)``.  Four block kinds are
 supported, from cheapest to most expressive:
@@ -338,19 +340,33 @@ class BlockProgram:
         return [group.matrices(param_rows, derivatives) for group in self.groups]
 
 
-def compile_blocks(ops) -> BlockProgram:
-    """Fuse consecutive ops into blocks while they touch at most two wires.
+def compile_blocks(ops, units=None) -> BlockProgram:
+    """Fuse consecutive fusion units into blocks while they touch at most two wires.
 
-    Blocks whose ops are the same relative to their wires share a group; a
-    block's first-touched wire is the high bit of its basis.
+    ``units`` gives the number of ops in each unit, in program order: a
+    circuit builder makes each node and each readout rotation one unit, so
+    a node is never split between blocks and every node of one kind keeps
+    one block shape.  Without it every op is a unit of its own.  Blocks
+    whose ops are the same relative to their wires share a group; a block's
+    first-touched wire is the high bit of its basis.
     """
+    ops = list(ops)
+    sizes = [1] * len(ops) if units is None else list(units)
+    if sum(sizes) != len(ops) or any(size < 1 for size in sizes):
+        raise ValueError(f"units {sizes} do not partition {len(ops)} ops")
     runs: list[tuple[list[int], list[GateOp]]] = []
-    for op in ops:
-        if runs and len(set(runs[-1][0]).union(op.wires)) <= 2:
-            runs[-1][0].extend(q for q in op.wires if q not in runs[-1][0])
-            runs[-1][1].append(op)
+    start = 0
+    for size in sizes:
+        unit = ops[start : start + size]
+        start += size
+        wires = list(dict.fromkeys(q for op in unit for q in op.wires))
+        if len(wires) > 2:
+            raise ValueError(f"a fusion unit touches {len(wires)} wires: {wires}")
+        if runs and len(set(runs[-1][0]).union(wires)) <= 2:
+            runs[-1][0].extend(q for q in wires if q not in runs[-1][0])
+            runs[-1][1].extend(unit)
         else:
-            runs.append((list(op.wires), [op]))
+            runs.append((wires, unit))
     keys: dict[tuple, list] = {}  # (width, local ops) -> slot rows of its blocks
     placed = []
     for wires, run_ops in runs:

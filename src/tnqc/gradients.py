@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CircuitTemplate, run_many, run_states
+from .circuits import CircuitTemplate, _run_blocks
 from .encoding import binary_code, softmax
 from .statevector import Register, probabilities
 
@@ -48,18 +48,19 @@ def diag_readout_projector(n_qubits: int, readout, outcome: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # adjoint sweep
 
-def _adjoint_sweep(template: CircuitTemplate, param_rows, kets, bras) -> np.ndarray:
+def _adjoint_sweep(template: CircuitTemplate, built, kets, bras) -> np.ndarray:
     """Reverse pass computing d<bra|ket>/d theta_k for all slots at once.
 
-    ``kets`` must hold the forward output states and ``bras`` the observable
-    already applied to them (possibly weighted).  ``param_rows`` is
-    ``(1, n_params)`` (shared) or one row per state.  Each block, last first,
-    records the reduced bra-ket matrix ``M`` of its wires and then undoes
-    itself on both states; the gradient of each block's angles is one
-    contraction of ``M`` with the block's derivative matrices at the end.
+    ``built`` is ``template.program.matrices(param_rows, derivatives=True)``
+    for the parameter rows of the forward pass: ``(1, n_params)`` (shared)
+    or one row per state.  ``kets`` must hold the forward output states and
+    ``bras`` the observable already applied to them (possibly weighted).
+    Each block, last first, records the reduced bra-ket matrix ``M`` of its
+    wires and then undoes itself on both states; the gradient of each
+    block's angles is one contraction of ``M`` with the block's derivative
+    matrices at the end.
     """
     program = template.program
-    built = program.matrices(param_rows, derivatives=True)
     n_rows = kets.shape[0]
     brakets = [
         np.empty((n_rows,) + group.slots.shape[:1] + (group.dim, group.dim), dtype=np.complex128)
@@ -175,14 +176,16 @@ def make_head(loss: str, template: CircuitTemplate, n_classes: int):
 
 def batch_loss_grad(head, params, states, labels):
     """Adjoint route over a batch: losses (B,), gradients (B, P), outputs (B, m)."""
+    template = head.template
     params = np.asarray(params, dtype=float)
     labels = np.asarray(labels)
-    kets = run_states(head.template, params, states)
+    built = template.program.matrices(params[None], derivatives=True)
+    kets = _run_blocks(template, [u for u, _ in built], np.asarray(states).reshape(-1, template.dim))
     outs = head.outputs(kets)
     losses = head.losses(outs, labels)
     weights = head.output_weights(outs, labels)
     bras = kets * (weights @ head.masks)
-    grads = _adjoint_sweep(head.template, params[None], kets, bras)
+    grads = _adjoint_sweep(template, built, kets, bras)
     return losses, grads, outs
 
 
@@ -194,7 +197,9 @@ def batch_energy_and_grad(template: CircuitTemplate, param_rows, input_state, ha
     """
     param_rows = np.asarray(param_rows, dtype=float)
     hamiltonians = np.asarray(hamiltonians)
-    kets = run_many(template, param_rows, input_state)
+    built = template.program.matrices(param_rows, derivatives=True)
+    psi = np.broadcast_to(input_state, (param_rows.shape[0], template.dim))
+    kets = _run_blocks(template, [u for u, _ in built], psi)
     if np.isrealobj(hamiltonians):
         # a real H takes the real and imaginary parts as two columns of one real product
         parts = np.ascontiguousarray(kets).view(np.float64).reshape(kets.shape + (2,))
@@ -202,5 +207,5 @@ def batch_energy_and_grad(template: CircuitTemplate, param_rows, input_state, ha
     else:
         bras = np.einsum("bij,bj->bi", hamiltonians, kets)
     energies = np.einsum("bi,bi->b", kets.conj(), bras).real
-    grads = _adjoint_sweep(template, param_rows, kets, bras)
+    grads = _adjoint_sweep(template, built, kets, bras)
     return energies, grads

@@ -4,13 +4,15 @@ Only the raw (uncompressed) IDX container is handled; gunzip the official
 files first.  Pixels are scaled to [0, 1], the digit classes are filtered
 down to a small set, and a PCA fitted on the training split only reduces
 784 pixels to 8 features, each min-max scaled to [0, 1] with train-split
-statistics (test projections outside the train range are clamped).
+statistics (test projections outside the train range are clamped).  The
+components are the top eigenvectors of the smaller Gram matrix of the
+centered training data: 784 x 784, or N x N for fewer examples.
 """
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,8 +78,11 @@ def load_idx(path) -> np.ndarray:
 
 
 def load_image_label_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
+    return image_label_pair(load_idx(images_path), load_idx(labels_path), images_path, labels_path)
+
+
+def image_label_pair(images, labels, images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Check that parsed IDX arrays are images and their labels; the paths label errors."""
     if images.ndim != 3:
         raise IdxError(f"{images_path}: expected an image file")
     if labels.ndim != 1:
@@ -91,11 +96,11 @@ def load_image_label_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndar
 
 def filter_classes(images, labels, keep=(0, 1, 2, 3)) -> tuple[np.ndarray, np.ndarray]:
     """Keep selected digit classes, remapping labels to 0..len(keep)-1."""
-    keep = sorted(keep)
+    keep = np.sort(np.asarray(keep))
     labels = np.asarray(labels)
     mask = np.isin(labels, keep)
-    remap = {digit: i for i, digit in enumerate(keep)}
-    new_labels = np.array([remap[d] for d in labels[mask]], dtype=int)
+    # position of each kept digit in ``keep`` (the last one, should it repeat)
+    new_labels = np.searchsorted(keep, labels[mask], side="right").astype(int) - 1
     return np.asarray(images)[mask], new_labels
 
 
@@ -106,6 +111,8 @@ class PCAModel:
     explained_variance: np.ndarray  # (k,), non-increasing
     feature_min: np.ndarray  # (k,) train-split projection minima
     feature_max: np.ndarray  # (k,)
+    # (N, k) projection of the fitted matrix, kept so it is not recomputed; never saved
+    train_projection: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_components(self) -> int:
@@ -113,23 +120,32 @@ class PCAModel:
 
 
 def fit_pca(train_matrix, k: int = 8) -> PCAModel:
-    """Top-k principal components of the training matrix plus scaling stats."""
+    """Top-k principal components of the training matrix plus scaling stats.
+
+    The components are the top eigenvectors of the smaller Gram matrix of
+    the centered data: ``X^T X`` (d x d), or ``X X^T`` (N x N) when there
+    are fewer examples than features, whose eigenvectors ``u`` give the
+    components as the directions of ``X^T u``.
+    """
     x = np.asarray(train_matrix, dtype=float)
     if x.ndim != 2 or x.shape[0] < k:
         raise ValueError(f"need at least {k} examples of 1-D features, got {x.shape}")
     mean = x.mean(axis=0)
     centered = x - mean
-    # SVD of the centered data: right singular vectors are the components,
-    # squared singular values give the (unnormalized) explained variances.
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:k].copy()
-    denom = max(x.shape[0] - 1, 1)
-    explained = (singular[:k] ** 2) / denom
+    n, d = centered.shape
+    if n >= d:
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+        components = np.ascontiguousarray(eigvecs[:, ::-1][:, :k].T)
+    else:
+        eigvals, eigvecs = np.linalg.eigh(centered @ centered.T)
+        # X^T u has norm sqrt(eigenvalue); QR normalises it and keeps the rows
+        # orthonormal where an eigenvalue is zero and X^T u is rounding noise
+        components = np.ascontiguousarray(np.linalg.qr(centered.T @ eigvecs[:, ::-1][:, :k])[0].T)
+    denom = max(n - 1, 1)
+    explained = np.maximum(eigvals[::-1][:k], 0.0) / denom
     # deterministic sign: largest-magnitude entry of each component positive
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
+    pivots = components[np.arange(len(components)), np.abs(components).argmax(axis=1)]
+    components *= np.where(pivots < 0, -1.0, 1.0)[:, None]
     projected = centered @ components.T
     return PCAModel(
         mean=mean,
@@ -137,16 +153,21 @@ def fit_pca(train_matrix, k: int = 8) -> PCAModel:
         explained_variance=explained,
         feature_min=projected.min(axis=0),
         feature_max=projected.max(axis=0),
+        train_projection=projected,
     )
+
+
+def _scale(model: PCAModel, projected: np.ndarray) -> np.ndarray:
+    """Min-max scale projections into [0, 1] with the train statistics (clamped)."""
+    span = model.feature_max - model.feature_min
+    span = np.where(span > 0, span, 1.0)  # zero-variance components map to 0
+    return np.clip((projected - model.feature_min) / span, 0.0, 1.0)
 
 
 def transform(model: PCAModel, matrix) -> np.ndarray:
     """Project onto the components and min-max scale into [0, 1] (clamped)."""
     x = np.asarray(matrix, dtype=float)
-    projected = (x - model.mean) @ model.components.T
-    span = model.feature_max - model.feature_min
-    span = np.where(span > 0, span, 1.0)  # zero-variance components map to 0
-    return np.clip((projected - model.feature_min) / span, 0.0, 1.0)
+    return _scale(model, (x - model.mean) @ model.components.T)
 
 
 def images_to_matrix(images) -> np.ndarray:
@@ -167,7 +188,7 @@ def prepare_features(
     tri, trl = filter_classes(train_images, train_labels, classes)
     tei, tel = filter_classes(test_images, test_labels, classes)
     model = fit_pca(images_to_matrix(tri), k)
-    train_features = transform(model, images_to_matrix(tri))
+    train_features = _scale(model, model.train_projection)
     test_features = transform(model, images_to_matrix(tei))
     return train_features, trl, test_features, tel, model
 
@@ -180,24 +201,28 @@ def save_features(path, features, labels, meta: dict | None = None) -> None:
         **(meta or {}),
     }
     rows = (
-        {"features": [float(v) for v in row], "label": int(label)}
-        for row, label in zip(features, labels)
+        {"features": row, "label": int(label)}
+        for row, label in zip(np.asarray(features, dtype=float).tolist(), labels)
     )
     write_jsonl(path, header, rows)
 
 
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
-    header, rows = read_jsonl(path)
+    return parse_features(*read_jsonl(path), path)
+
+
+def parse_features(header: dict, rows: list[dict], name) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of a feature file already read as (header, rows); ``name`` labels errors."""
     if header.get("format") != FEATURES_FORMAT:
-        raise ValueError(f"{path}: not a feature file")
+        raise ValueError(f"{name}: not a feature file")
     if header.get("version") != FEATURES_VERSION:
-        raise ValueError(f"{path}: unsupported feature file version")
+        raise ValueError(f"{name}: unsupported feature file version")
     if not rows:
-        raise ValueError(f"{path}: feature file has no rows")
+        raise ValueError(f"{name}: feature file has no rows")
     features = np.array([row["features"] for row in rows], dtype=float)
     labels = np.array([row["label"] for row in rows], dtype=int)
     if not np.all(np.isfinite(features)):
-        raise ValueError(f"{path}: non-finite feature values")
+        raise ValueError(f"{name}: non-finite feature values")
     return features, labels
 
 

@@ -7,6 +7,10 @@ periodic boundaries.  Three phases over delta in [-2, 2]:
 * |delta| <= 1 gapless planar paramagnet (label 1)
 * delta > 1    z-axis antiferromagnet    (label 2)
 
+The chain conserves total S^z, so its 2^n x 2^n matrix is block diagonal
+over the popcount sectors of the basis index (at most 70 x 70 for 8 sites);
+exact diagonalization takes the lowest eigenvalue sector by sector.
+
 Ground states are prepared variationally with the checkerboard ansatz by
 minimizing the squared distance between the circuit energy and a target set
 slightly below the exact ground energy.  Sweeping delta in ascending order
@@ -59,14 +63,48 @@ def build_hamiltonian(delta: float, n_sites: int = 8, coupling: float = 1.0) -> 
     return h
 
 
+def _is_symmetric(h: np.ndarray) -> bool:
+    """``np.allclose(h, h.T, atol=1e-12)`` elementwise; NaN and inf never pass."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        return bool(np.all(np.abs(h - h.T) <= 1e-12 + 1e-5 * np.abs(h.T)))
+
+
+def _sz_blocks(h: np.ndarray):
+    """The popcount-sector blocks of a 2^n matrix, or None.
+
+    None unless the dimension is a power of two and every nonzero entry
+    links two basis states with the same popcount (the same total S^z for
+    the XXZ chain), that is unless the blocks hold all nonzeros of ``h``.
+    """
+    dim = h.shape[0]
+    n = dim.bit_length() - 1
+    if dim < 2 or dim != 1 << n:
+        return None
+    idx = np.arange(dim)
+    popcount = sum((idx >> bit) & 1 for bit in range(n))
+    order = np.argsort(popcount, kind="stable")
+    sectors = np.split(order, np.cumsum(np.bincount(popcount))[:-1])
+    blocks = [h[np.ix_(s, s)] for s in sectors]
+    if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(h):
+        return None
+    return blocks
+
+
 def exact_ground_energy(hamiltonian: np.ndarray) -> float:
-    """Smallest eigenvalue of a real-symmetric Hamiltonian."""
+    """Smallest eigenvalue of a real-symmetric Hamiltonian.
+
+    A 2^n matrix that conserves the popcount of the basis index (checked
+    exactly) is diagonalised sector by sector: for 8 sites the largest block
+    is 70x70 instead of 256x256.  Any other matrix is diagonalised whole.
+    """
     h = np.asarray(hamiltonian)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
-    if not np.allclose(h, h.T, atol=1e-12):
+    # off-sector entries are exact zeros, so h is symmetric iff each sector block is
+    blocks = _sz_blocks(h) or [h]
+    if not all(_is_symmetric(block) for block in blocks):
         raise ValueError("Hamiltonian must be symmetric")
-    return float(np.linalg.eigvalsh(h)[0])
+    return float(min(np.linalg.eigvalsh(block)[0] for block in blocks))
 
 
 def energy_expectation(state: np.ndarray, hamiltonian: np.ndarray) -> float:
@@ -150,8 +188,12 @@ def vqe_optimize(
     zero-gradient eigenstates left by the previous point.
     """
     config = config or VqeConfig()
-    template = build_checkerboard(n_sites, layers)
-    h = build_hamiltonian(delta, n_sites)
+    return _optimize_point(build_checkerboard(n_sites, layers), delta, warm_start, config, seed)
+
+
+def _optimize_point(template, delta, warm_start, config, seed):
+    """``vqe_optimize`` on an already built checkerboard ``template``."""
+    h = build_hamiltonian(delta, template.n_qubits)
     exact = exact_ground_energy(h)
     e_target = target_energy(exact)
 
@@ -246,10 +288,7 @@ def generate_dataset(
     previous = None
     for c in range(n_chains):
         delta = float(chains[c][0])
-        params, energy, exact = vqe_optimize(
-            delta, layers, warm_start=previous, config=config,
-            n_sites=n_sites, seed=_point_seed(seed, c, 0),
-        )
+        params, energy, exact = _optimize_point(template, delta, previous, config, _point_seed(seed, c, 0))
         warm[c] = previous = params
         results[delta] = (params, energy, exact)
 
@@ -325,11 +364,15 @@ def save_records(records: list[GroundStateRecord], path, config: VqeConfig | Non
 
 
 def load_records(path) -> list[GroundStateRecord]:
-    header, rows = read_jsonl(path)
+    return parse_records(*read_jsonl(path), path)
+
+
+def parse_records(header: dict, rows: list[dict], name) -> list[GroundStateRecord]:
+    """Records of a dataset file already read as (header, rows); ``name`` labels errors."""
     if header.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: not an XXZ ground-state dataset")
+        raise ValueError(f"{name}: not an XXZ ground-state dataset")
     if header.get("version") != DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported dataset version {header.get('version')}")
+        raise ValueError(f"{name}: unsupported dataset version {header.get('version')}")
     return [
         GroundStateRecord(
             delta=row["delta"],

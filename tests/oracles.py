@@ -1,4 +1,4 @@
-"""Oracles for the simulator: a dense unitary, the parameter-shift rule and finite differences.
+"""Oracles: a dense unitary, the parameter-shift rule, finite differences and an SVD PCA.
 
 ``dense_unitary`` multiplies out a template's gate list with explicit kron products and
 uses no simulator kernel.  The gradient oracles run the circuit once per shifted
@@ -88,3 +88,19 @@ def loss_and_grad_fd(head, params, state, label, step=1e-4):
     f = head.losses(head.outputs(kets), np.full(kets.shape[0], label))
     out = head.outputs(run_states(head.template, params, state[None, :]))
     return float(head.losses(out, np.asarray([label]))[0]), (f[0::2] - f[1::2]) / (2 * step)
+
+
+def pca_svd(matrix, k):
+    """Top-k PCA components and explained variances from the SVD of the centered data.
+
+    Components carry the library's sign convention: the largest-magnitude
+    entry of each is positive.
+    """
+    x = np.asarray(matrix, dtype=float)
+    _, singular, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    components = vt[:k].copy()
+    for row in components:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0:
+            row *= -1.0
+    return components, singular[:k] ** 2 / max(x.shape[0] - 1, 1)

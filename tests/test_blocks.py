@@ -94,15 +94,57 @@ def test_block_adjoint_matches_shift_rule(template, seed):
             assert np.allclose(grad, expected, atol=1e-10)
 
 
+# block shapes per template: the Simple kinds' final node carries the readout rotations
+GROUPS = {"ttn:simple-real": 3, "ttn:su4": 1, "mera:simple-su2": 3, "mera:so4": 1}
+
+
 @pytest.mark.parametrize(
     "desc, blocks",
-    [("ttn:simple-real", 7), ("ttn:su4", 7), ("mera:simple-su2", 11), ("mera:so4", 11), ("checkerboard:su4:L4", 16)],
+    [
+        ("ttn:simple-real", 7), ("ttn:su4", 7), ("mera:simple-su2", 11), ("mera:so4", 11),
+        ("checkerboard:su4:L1", 4), ("checkerboard:su4:L2", 8), ("checkerboard:su4:L3", 12),
+        ("checkerboard:su4:L4", 16),
+    ],
 )
 def test_block_counts(desc, blocks):
     program = from_descriptor(desc).program
     assert len(program.blocks) == blocks
-    assert len(program.groups) <= 4
+    assert len(program.groups) == GROUPS.get(desc, 1)  # one node shape for the checkerboard
     assert all(len(block.wires) == 2 for block in program.blocks)
+
+
+def test_node_units_keep_the_ops_and_their_unitary(rng):
+    template = from_descriptor("checkerboard:su4:L4")
+    ops_only = CircuitTemplate(8, template.ops, template.n_params, (), "ops only")
+    assert len(ops_only.program.groups) == 3  # op-by-op fusion splits the wrap node's neighbour
+    params = rng.uniform(-np.pi, np.pi, template.n_params)
+    state = random_state(8, rng)
+    assert np.allclose(run_states(template, params, state[None]), dense_unitary(template, params) @ state, atol=1e-12)
+    with pytest.raises(ValueError):
+        compile_blocks(template.ops, [1])
+
+
+@pytest.mark.parametrize("desc", ["mera:su4", "ttn:simple-su2", "checkerboard:su4:L4"])
+def test_gradient_entry_points_build_each_group_once(desc, monkeypatch, rng):
+    calls = []
+    matrices = gates.BlockGroup.matrices
+
+    def recording(self, param_rows, derivatives=False):
+        calls.append(derivatives)
+        return matrices(self, param_rows, derivatives)
+
+    monkeypatch.setattr(gates.BlockGroup, "matrices", recording)
+    template = from_descriptor(desc)
+    groups = len(template.program.groups)
+    rows = rng.uniform(0, 2 * np.pi, (3, template.n_params))
+    states = np.stack([random_state(8, rng) for _ in range(3)])
+    h = np.stack([xxz.build_hamiltonian(d) for d in (-1.5, 0.0, 1.5)])
+    batch_energy_and_grad(template, rows, states[0], h)
+    assert calls == [True] * groups
+    if template.readout:
+        calls.clear()
+        batch_loss_grad(make_head("mse_binary", template, 4), rows[0], states, np.array([0, 1, 2]))
+        assert calls == [True] * groups
 
 
 def test_forward_callers_build_no_derivatives(monkeypatch, rng):

@@ -1,4 +1,10 @@
+import argparse
+import builtins
+import hashlib
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +303,21 @@ class TestBadFeatures:
         assert "no rows" in capsys.readouterr().err
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """Every path opened for reading while the test runs, once per open."""
+    paths, real_open = [], builtins.open
+
+    def recording(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            paths.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    monkeypatch.setattr(io, "open", recording)  # pathlib opens through io.open
+    return paths
+
+
 class TestInputReads:
     def test_eval_of_test_file_does_not_warn(self, tmp_path, rng, capsys):
         train_path, test_path = write_feature_split(tmp_path, rng)
@@ -305,40 +326,88 @@ class TestInputReads:
         assert main(["eval", "--checkpoint", checkpoint, "--data", test_path]) == EXIT_OK
         assert "fingerprint" not in capsys.readouterr().err
 
-    def test_multi_seed_train_reads_the_dataset_once(self, tmp_path, xxz_file, monkeypatch):
-        reads = []
-
-        def counting(read):
-            def wrapped(path):
-                reads.append(path)
-                return read(path)
-            return wrapped
-
-        monkeypatch.setattr(xxz, "read_jsonl", counting(xxz.read_jsonl))
-        monkeypatch.setattr(mnist, "read_jsonl", counting(mnist.read_jsonl))
+    def test_multi_seed_train_reads_the_dataset_once(self, tmp_path, xxz_file, opened):
         code = main([
             "train", "--arch", "ttn:simple-real", "--decoder", "binary",
             "--data", xxz_file, "--seeds", "0,1,2", "--out", str(tmp_path / "runs"),
             "--max-epochs", "1", "--patience", "1", "--batch-size", "4",
         ])
         assert code == EXIT_OK
-        assert reads == [xxz_file]
+        assert opened.count(xxz_file) == 1
 
-    def test_train_hashes_each_input_once(self, tmp_path, rng, monkeypatch):
+    def test_multi_seed_train_prepares_states_once(self, tmp_path, xxz_file, monkeypatch):
         from tnqc import cli
 
+        prepared = []
+
+        def recording(records):
+            prepared.append(len(records))
+            return xxz.states_from_records(records)
+
+        monkeypatch.setattr(cli, "states_from_records", recording)
+        code = main([
+            "train", "--arch", "ttn:simple-real", "--decoder", "binary",
+            "--data", xxz_file, "--seeds", "0,1,2", "--out", str(tmp_path / "runs"),
+            "--max-epochs", "1", "--patience", "1", "--batch-size", "4",
+        ])
+        assert code == EXIT_OK
+        assert prepared == [12]
+
+    def test_train_splits_match_per_split_preparation(self, xxz_file):
+        from tnqc import cli
+
+        args = argparse.Namespace(data=xxz_file, test_data=None)
+        kind, header, rows, digest = cli._read_dataset(xxz_file)
+        _, split = cli._load_train_test(args, kind, header, rows, digest)
+        records = xxz.load_records(xxz_file)
+        for seed in (0, 1, 2):
+            for got, part in zip(split(seed), xxz.split_records(records, (2, 1), seed)):
+                expected = xxz.states_from_records(part)
+                assert np.abs(got.states - expected.states).max() <= 1e-12
+                assert got.labels.tolist() == expected.labels.tolist()
+
+    def test_train_hashes_each_input_once(self, tmp_path, rng, opened):
         train_path, test_path = write_feature_split(tmp_path, rng)
-        hashed, sha256_file = [], cli.sha256_file
-
-        def counting(path):
-            hashed.append(str(path))
-            return sha256_file(path)
-
-        monkeypatch.setattr(cli, "sha256_file", counting)
         train_on_features(tmp_path, train_path, test_path)
-        assert sorted(hashed) == sorted([train_path, test_path])
+        assert opened.count(train_path) == 1 and opened.count(test_path) == 1
         manifest = json.loads((tmp_path / "runs" / "train.manifest.json").read_text())
-        assert set(manifest["input_hashes"]) == {"data", "test_data"}
+        assert manifest["input_hashes"] == {
+            "data": hashlib.sha256(Path(train_path).read_bytes()).hexdigest(),
+            "test_data": hashlib.sha256(Path(test_path).read_bytes()).hexdigest(),
+        }
+
+    @pytest.mark.parametrize("dataset", ["xxz", "features"])
+    def test_eval_reads_its_data_once(self, tmp_path, rng, xxz_file, dataset, opened, capsys):
+        if dataset == "xxz":
+            data = xxz_file
+            assert main([
+                "train", "--arch", "ttn:simple-real", "--decoder", "binary", "--data", data,
+                "--seeds", "0", "--out", str(tmp_path / "runs"), "--max-epochs", "1", "--patience", "1",
+            ]) == EXIT_OK
+            checkpoint = str(tmp_path / "runs" / "seed0.checkpoint.json")
+        else:
+            train_path, data = write_feature_split(tmp_path, rng)
+            checkpoint = train_on_features(tmp_path, train_path, data)
+        opened.clear()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", checkpoint, "--data", data]) == EXIT_OK
+        assert opened.count(data) == 1
+        assert "fingerprint" not in capsys.readouterr().err
+
+    def test_prepare_mnist_reads_each_input_once(self, tmp_path, rng, opened):
+        paths = write_idx_fixtures(tmp_path, rng)
+        out = tmp_path / "out"
+        assert main([
+            "prepare-mnist",
+            "--images", paths["train-images"], "--labels", paths["train-labels"],
+            "--test-images", paths["test-images"], "--test-labels", paths["test-labels"],
+            "--out", str(out),
+        ]) == EXIT_OK
+        assert all(opened.count(path) == 1 for path in paths.values())
+        manifest = json.loads((out / "prepare-mnist.manifest.json").read_text())
+        assert manifest["input_hashes"]["labels"] == hashlib.sha256(
+            Path(paths["train-labels"]).read_bytes()
+        ).hexdigest()
 
 
 class TestBaseline:

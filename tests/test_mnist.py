@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnqc.mnist import (
     IdxError,
@@ -15,6 +19,8 @@ from tnqc.mnist import (
     serialize_idx,
     transform,
 )
+
+from oracles import pca_svd
 
 
 def label_bytes(labels):
@@ -80,6 +86,14 @@ class TestFilterClasses:
         images, labels = filter_classes(np.zeros((3, 1, 1)), np.array([7, 8, 9]))
         assert len(labels) == 0 and images.shape[0] == 0
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 9), max_size=30), st.lists(st.integers(0, 9), min_size=1, max_size=5))
+    def test_matches_dict_remap(self, labels, keep):
+        labels = np.array(labels, dtype=np.uint8)
+        remap = {digit: i for i, digit in enumerate(sorted(keep))}
+        _, new_labels = filter_classes(np.zeros((len(labels), 1, 1)), labels, keep)
+        assert new_labels.tolist() == [remap[d] for d in labels if d in remap]
+
 
 class TestPca:
     def test_exact_low_rank_recovery(self, rng):
@@ -121,6 +135,27 @@ class TestPca:
     def test_too_few_examples_rejected(self):
         with pytest.raises(ValueError):
             fit_pca(np.zeros((4, 10)), k=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 40), st.integers(2, 40), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_svd_oracle(self, n, d, k, low_rank, seed):
+        """Both Gram branches (N >= d and N < d), with and without rank deficiency."""
+        rng = np.random.default_rng(seed)
+        k = min(k, n, d)
+        # well-separated variances keep every top-k component unique
+        scales = 3.0 ** -np.arange(d)
+        x = rng.normal(size=(n, d)) * scales
+        if low_rank:  # rank k + 1 < min(n - 1, d) where possible
+            rank = min(k + 1, d)
+            x = rng.normal(size=(n, rank)) * scales[:rank] @ np.linalg.qr(rng.normal(size=(d, rank)))[0].T
+        components, explained = pca_svd(x, k)
+        model = fit_pca(x, k)
+        assert np.allclose(model.explained_variance, explained, rtol=0, atol=1e-10)
+        unique = explained > 1e-8 * explained[0]  # zero-variance components are arbitrary
+        unique[1:] &= explained[1:] < explained[:-1] * (1 - 1e-3)
+        unique[:-1] &= explained[1:] < explained[:-1] * (1 - 1e-3)
+        assert np.allclose(model.components[unique], components[unique], rtol=0, atol=1e-10)
+        assert np.allclose(model.components @ model.components.T, np.eye(len(components)), atol=1e-10)
 
 
 class TestTransform:
@@ -174,6 +209,24 @@ class TestPipeline:
         loaded_x, loaded_y = load_features(path)
         assert np.allclose(loaded_x, features, atol=1e-15)
         assert np.array_equal(loaded_y, labels)
+
+    def test_feature_file_bytes_match_per_element_serialisation(self, tmp_path, rng):
+        features = np.vstack([rng.uniform(0, 1, (6, 8)), np.eye(8)[:2], np.full((1, 8), 1 / 3)])
+        labels = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0])
+        path = tmp_path / "features.jsonl"
+        save_features(path, features, labels, {"classes": [0, 1, 2, 3]})
+        header = {"format": "mnist-features", "version": 1, "n_features": 8, "classes": [0, 1, 2, 3]}
+        lines = [json.dumps(header)] + [
+            json.dumps({"features": [float(v) for v in row], "label": int(label)})
+            for row, label in zip(features, labels)
+        ]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_prepare_features_reuses_the_train_projection(self, rng):
+        train_labels = np.repeat(np.arange(4), 15).astype(np.uint8)
+        images = _blobby_images(train_labels, rng)
+        train_x, _, _, _, model = prepare_features(images, train_labels, images[:4], train_labels[:4], k=8)
+        assert np.array_equal(train_x, transform(model, images_to_matrix(images)))
 
     def test_pca_model_round_trip(self, tmp_path, rng):
         model = fit_pca(rng.normal(size=(30, 16)), k=4)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnqc import xxz
 from tnqc.circuits import build_checkerboard, run
@@ -113,6 +115,37 @@ class TestExactGroundEnergy:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):
             exact_ground_energy(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_sectors_match_full_diagonalization(self, n, sz_structure, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 << n
+        h = rng.normal(size=(dim, dim))
+        if sz_structure:  # keep only entries between equal popcounts
+            popcount = np.array([bin(i).count("1") for i in range(dim)])
+            h *= popcount[:, None] == popcount[None, :]
+        h = h + h.T
+        assert exact_ground_energy(h) == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
+
+    @pytest.mark.parametrize("delta", [-2.0, -0.7, 0.0, 1.0, 1.9])
+    def test_chain_sectors_match_full_diagonalization(self, delta):
+        h = build_hamiltonian(delta, n_sites=8)
+        assert exact_ground_energy(h) == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.booleans(), st.sampled_from(["asymmetric", "nan", "inf"]), st.integers(0, 2**32 - 1))
+    def test_bad_input_rejected_on_both_paths(self, n, in_sector, fault, seed):
+        dim = 1 << n
+        h = np.diag(np.random.default_rng(seed).normal(size=dim))
+        # basis states 1 and 2 share a popcount; 0 and dim - 1 do not
+        i, j = (1, 2) if in_sector else (0, dim - 1)
+        if fault == "asymmetric":
+            h[i, j] = 1e-3
+        else:
+            h[i, j] = h[j, i] = np.nan if fault == "nan" else np.inf
+        with pytest.raises(ValueError):
+            exact_ground_energy(h)
 
 
 class TestEnergyExpectation:
