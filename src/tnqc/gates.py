@@ -7,9 +7,12 @@ blocks of at most two wires.  Its unit is a whole node (or one readout
 rotation), so a node is never split between blocks: every node of one kind
 compiles to the same block shape, and the checkerboard ansatz is one group.
 The 4x4 matrices of all blocks of one shape are built for a whole stack of
-parameter rows in one vectorised step (``BlockGroup.matrices``), with their
-derivative matrices only when a gradient is asked for.  ``block_matrix`` multiplies one node out gate by gate
-and is kept as the oracle for that step.  Rotation convention:
+parameter rows in one vectorised step (``BlockGroup.matrices``).  A gradient
+call also turns each block's reduced ket-bra into its angle gradients
+(``BlockGroup.angle_grads``), by a real recursion in the Pauli basis whose
+tables a group builds on its first gradient call.  ``block_matrix``
+multiplies one node out gate by gate and is kept as the oracle for the
+matrices.  Rotation convention:
 ``RY(t) = exp(-i t Y / 2)``, ``RZ(t) = exp(-i t Z / 2)``.  Four block kinds are
 supported, from cheapest to most expressive:
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -250,6 +254,16 @@ _MINUS_I_PAULI = {
     Gate.RY: np.array([[0, -1], [1, 0]], dtype=np.complex128),
     Gate.RZ: np.array([[-1j, 0], [0, 1j]], dtype=np.complex128),
 }
+# I, X, Y, Z; a string on two wires is index 4 a + b for sigma_a (high bit) x sigma_b
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_INDEX = {Gate.RY: 2, Gate.RZ: 3}
+
+
+def _pauli_strings(width: int) -> np.ndarray:
+    """The ``4**width`` Pauli strings on one or two wires, ``(d*d, d, d)``, in index order."""
+    if width == 1:
+        return _PAULI
+    return np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -259,6 +273,26 @@ class Block:
     wires: tuple[int, ...]  # the first wire is the high bit of the block's basis
     group: int  # index into BlockProgram.groups
     index: int  # row of this block in its group's matrix stack
+
+
+@dataclass(frozen=True)
+class PauliTables:
+    """What ``BlockGroup.angle_grads`` needs of a group, in the Pauli basis.
+
+    ``basis`` turns a reduced ket-bra ``K``, flattened and viewed as
+    interleaved real and imaginary parts, into ``v_P = Im tr(P K)``.
+    ``partner[k, P]`` and ``sign[k, P]`` give ``P_k P = i sign P'`` where
+    ``P`` anticommutes with ``P_k`` (``sign`` is 0 where they commute).
+    ``transfers[k]`` is ``T^T`` of the fixed stretch ``F_k``, with
+    ``T[P, Q] = tr(Q F_k P F_k^dagger) / d``, so conjugating
+    ``N -> F_k^dagger N F_k`` maps ``v`` to ``v @ T^T``; it is ``None`` where
+    there is no stretch, and for ``F_0``, which no gradient needs.
+    """
+
+    basis: np.ndarray  # (2 d^2, d^2)
+    partner: np.ndarray  # (w, d^2)
+    sign: np.ndarray  # (w, d^2)
+    transfers: tuple  # (w + 1,) of (d^2, d^2) or None
 
 
 class BlockGroup:
@@ -274,12 +308,15 @@ class BlockGroup:
     """
 
     def __init__(self, local_ops: tuple[GateOp, ...], width: int, slots):
+        self.width = width
         self.dim = 1 << width
         self.slots = np.array(slots, dtype=int)  # (blocks, trainable ops): angle slots
         gens, fixed = [], [None]  # fixed[k]: product of the fixed ops before trainable op k
+        self.generators = []  # Pauli string index of each P_k = i Q_k
         for op in local_ops:
             if op.trainable:
                 gens.append(_embed(_MINUS_I_PAULI[op.gate], op.wires[0], width))
+                self.generators.append(_PAULI_INDEX[op.gate] << 2 * (width - 1 - op.wires[0]))
                 fixed.append(None)
                 continue
             m = op_matrix_2q(op, 0, 1) if width == 2 else ROTATION_MATRIX[op.gate](op.angle)
@@ -292,16 +329,8 @@ class BlockGroup:
         ).reshape(-1, self.dim)
         self.diagonal = [bool(np.all(rows == np.arange(self.dim))) for rows in self.q_rows]
 
-    def matrices(self, param_rows: np.ndarray, derivatives: bool = False):
-        """Block matrices for parameter rows ``(R, n_params)``: ``(R, blocks, d, d)``.
-
-        With ``derivatives`` returns the pair of those and the
-        ``(R, blocks, w, d, d)`` matrices ``E_k = S_k (Q_k / 2) S_k^dagger``,
-        where ``S_k`` is the product of the block's ops after trainable op
-        ``k``.  For states ``|ket>`` and ``|bra>`` taken just after the block,
-        the derivative of ``2 Re <bra|ket>`` by angle ``k`` is
-        ``2 Re sum_ij M_ij (E_k)_ij`` with ``M_ij = sum_rest conj(bra_i) ket_j``.
-        """
+    def matrices(self, param_rows: np.ndarray) -> np.ndarray:
+        """Block matrices for parameter rows ``(R, n_params)``: ``(R, blocks, d, d)``."""
         half = param_rows[:, self.slots] / 2  # (R, blocks, w)
         cos, sin = np.cos(half)[..., None], np.sin(half)[..., None]
         off = sin * self.q_vals  # (R, blocks, w, d): X @ G_k = X c_k + X[..., q_rows[k]] off_k
@@ -309,23 +338,72 @@ class BlockGroup:
         shape = half.shape[:2] + (self.dim, self.dim)
         last = np.eye(self.dim) if self.fixed[-1] is None else self.fixed[-1]
         x = np.array(np.broadcast_to(last, shape), dtype=np.complex128)  # S_w = F_w
-        suffixes, suffixes_q = [], []
         for k in reversed(range(len(self.diagonal))):
-            if derivatives:
-                suffixes.append(x)
-                suffixes_q.append(x[..., self.q_rows[k]] * self.q_vals[k])  # S_k Q_k
             if self.diagonal[k]:
                 x = x * diag[:, :, None, k]
             else:
                 x = x * cos[:, :, None, k] + x[..., self.q_rows[k]] * off[:, :, None, k]
             if self.fixed[k] is not None:  # one product for the whole stack
                 x = (x.reshape(-1, self.dim) @ self.fixed[k]).reshape(shape)
-        if not derivatives:
-            return x
-        if not suffixes:
-            return x, np.zeros(shape[:2] + (0,) + shape[2:], dtype=np.complex128)
-        s = np.stack(suffixes[::-1], axis=2)
-        return x, (np.stack(suffixes_q[::-1], axis=2) / 2) @ s.conj().swapaxes(-1, -2)
+        return x
+
+    @cached_property
+    def pauli_tables(self) -> PauliTables:
+        """The group's Pauli-basis tables; built on the first gradient call, then kept."""
+        d2 = self.dim**2
+        strings = _pauli_strings(self.width)
+        # v_P = Im tr(P K) = Im sum_ij K_ij P_ji, as one real product of interleaved K
+        change = strings.transpose(0, 2, 1).reshape(d2, d2).T
+        basis = np.stack([change.imag, change.real], axis=1).reshape(2 * d2, d2)
+        gens = strings[self.generators]  # (w, d, d)
+        # coefficient of string Q in P_k P is tr(Q P_k P) / d; exactly one is nonzero
+        coef = np.einsum("qli,kij,pjl->kpq", strings, gens, strings, optimize=True) / self.dim
+        partner = np.abs(coef).argmax(axis=-1)
+        sign = np.take_along_axis(coef, partner[..., None], -1)[..., 0].imag.round()
+        stretches = [k for k, f in enumerate(self.fixed) if k and f is not None]
+        transfers = [None] * len(self.fixed)
+        if stretches:
+            f = np.stack([self.fixed[k] for k in stretches])
+            # T^T[Q, P] = tr(Q F P F^dagger) / d for every fixed stretch at once
+            moved = f[:, None] @ strings @ f[:, None].conj().swapaxes(-1, -2)
+            tt = np.einsum("qij,spji->sqp", strings, moved, optimize=True).real / self.dim
+            for k, t in zip(stretches, tt):
+                transfers[k] = t
+        return PauliTables(basis, partner, sign, tuple(transfers))
+
+    def angle_grads(self, param_rows: np.ndarray, ketbras: np.ndarray) -> np.ndarray:
+        """Angle gradients ``(rows, blocks, w)`` from reduced ket-bras ``(rows, blocks, d, d)``.
+
+        ``ketbras[..., i, j]`` is ``sum_rest ket_i conj(bra_j)`` over the
+        states just after the block; the result is the derivative of
+        ``2 Re <bra|ket>`` by each of the block's angles.  With ``P_k = i Q_k``
+        and ``S_k`` the ops after angle ``k``, that derivative is
+        ``Im tr(P_k N_k)`` with ``N_k = S_k^dagger K S_k``.  It is read off
+        ``v_P = Im tr(P N)`` over the Pauli strings, a real vector that a
+        reverse recursion carries from angle to angle: conjugating by ``G_k``
+        leaves the strings that commute with ``P_k`` alone and turns each
+        other ``v_P`` into ``cos(t_k) v_P + sign sin(t_k) v_P'``.  ``param_rows``
+        is ``(1, n_params)`` (shared) or has one row per ket-bra row.
+        """
+        n_angles = len(self.generators)
+        tables = self.pauli_tables
+        theta = np.moveaxis(param_rows[:, self.slots], -1, 0)[..., None]  # (w, R, blocks, 1)
+        cos = np.where(tables.sign[:, None, None] != 0, np.cos(theta), 1.0)  # (w, R, blocks, d^2)
+        sin = tables.sign[:, None, None] * np.sin(theta)
+        flat = np.ascontiguousarray(ketbras).reshape(ketbras.shape[:2] + (-1,))
+        v = flat.view(np.float64) @ tables.basis  # (rows, blocks, d^2)
+        grads = np.empty(v.shape[:2] + (n_angles,))
+        turned = np.empty_like(v)
+        for k in reversed(range(n_angles)):
+            if tables.transfers[k + 1] is not None:  # the stretch after angle k
+                v = v @ tables.transfers[k + 1]
+            grads[..., k] = v[..., self.generators[k]]
+            if k:  # unlike a fancy index, np.take keeps the layout; "wrap" skips its out buffer
+                np.take(v, tables.partner[k], axis=-1, out=turned, mode="wrap")
+                turned *= sin[k]
+                v *= cos[k]
+                v += turned
+        return grads
 
 
 @dataclass(frozen=True)
@@ -335,9 +413,9 @@ class BlockProgram:
     blocks: tuple[Block, ...]
     groups: tuple[BlockGroup, ...]
 
-    def matrices(self, param_rows: np.ndarray, derivatives: bool = False) -> list:
+    def matrices(self, param_rows: np.ndarray) -> list:
         """``BlockGroup.matrices`` of every group, in group order."""
-        return [group.matrices(param_rows, derivatives) for group in self.groups]
+        return [group.matrices(param_rows) for group in self.groups]
 
 
 def compile_blocks(ops, units=None) -> BlockProgram:

@@ -4,11 +4,10 @@ Two passes over the states, independent of the parameter count (Jones &
 Gacon, arXiv:2009.02823), taken block by block rather than gate by gate: the
 forward pass applies the compiled two-qubit blocks; the reverse pass walks
 them last to first, records for each block and example the reduced 4x4
-bra-ket matrix ``M`` of its two wires and then undoes the block on both
-states.  Every trainable gate is a Pauli-half rotation, so each angle's
-derivative is ``2 Re sum(M * E_k)`` with the block's derivative matrix
-``E_k`` (``gates.BlockGroup.matrices``), contracted for all blocks of one
-shape in one ``einsum`` at the end.
+ket-bra matrix ``K`` of its two wires and then undoes the block on both
+states.  Every trainable gate is a Pauli-half rotation, so each group turns
+its ``K`` stack into angle gradients at the end by a real recursion over the
+block's angles in the Pauli basis (``gates.BlockGroup.angle_grads``).
 
 The loss heads are the only decoders: they turn output states into readout
 values, losses, predictions and the weights of the classical chain rule.
@@ -48,34 +47,33 @@ def diag_readout_projector(n_qubits: int, readout, outcome: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # adjoint sweep
 
-def _adjoint_sweep(template: CircuitTemplate, built, kets, bras) -> np.ndarray:
+def _adjoint_sweep(template: CircuitTemplate, unitaries, param_rows, kets, bras) -> np.ndarray:
     """Reverse pass computing d<bra|ket>/d theta_k for all slots at once.
 
-    ``built`` is ``template.program.matrices(param_rows, derivatives=True)``
-    for the parameter rows of the forward pass: ``(1, n_params)`` (shared)
-    or one row per state.  ``kets`` must hold the forward output states and
-    ``bras`` the observable already applied to them (possibly weighted).
-    Each block, last first, records the reduced bra-ket matrix ``M`` of its
-    wires and then undoes itself on both states; the gradient of each
-    block's angles is one contraction of ``M`` with the block's derivative
-    matrices at the end.
+    ``unitaries`` is ``template.program.matrices(param_rows)`` for the
+    parameter rows of the forward pass: ``(1, n_params)`` (shared) or one row
+    per state.  ``kets`` must hold the forward output states and ``bras`` the
+    observable already applied to them (possibly weighted).  Each block, last
+    first, records the reduced ket-bra matrix ``K`` of its wires and then
+    undoes itself on both states; each group turns its ``K`` stack into
+    angle gradients at the end (``BlockGroup.angle_grads``).
     """
     program = template.program
     n_rows = kets.shape[0]
-    brakets = [
+    ketbras = [
         np.empty((n_rows,) + group.slots.shape[:1] + (group.dim, group.dim), dtype=np.complex128)
         for group in program.groups
     ]
     register = Register(np.stack([kets, bras]), template.n_qubits)
     for block in reversed(program.blocks):
         pair = register.gather(block.wires)  # (2, B, d, rest): kets, bras
-        brakets[block.group][:, block.index] = pair[1].conj() @ pair[0].swapaxes(-1, -2)
+        ketbras[block.group][:, block.index] = pair[0] @ pair[1].conj().swapaxes(-1, -2)
         if block is not program.blocks[0]:  # nothing precedes the first block
-            u = built[block.group][0][:, block.index]
+            u = unitaries[block.group][:, block.index]
             register.put(u.conj().swapaxes(-1, -2) @ pair)
     grads = np.zeros((n_rows, template.n_params))
-    for group, (_, derivs), m in zip(program.groups, built, brakets):
-        grads[:, group.slots] = 2 * np.einsum("...nij,...npij->...np", m, derivs).real
+    for group, k in zip(program.groups, ketbras):
+        grads[:, group.slots] = group.angle_grads(param_rows, k)
     return grads
 
 
@@ -179,13 +177,13 @@ def batch_loss_grad(head, params, states, labels):
     template = head.template
     params = np.asarray(params, dtype=float)
     labels = np.asarray(labels)
-    built = template.program.matrices(params[None], derivatives=True)
-    kets = _run_blocks(template, [u for u, _ in built], np.asarray(states).reshape(-1, template.dim))
+    unitaries = template.program.matrices(params[None])
+    kets = _run_blocks(template, unitaries, np.asarray(states).reshape(-1, template.dim))
     outs = head.outputs(kets)
     losses = head.losses(outs, labels)
     weights = head.output_weights(outs, labels)
     bras = kets * (weights @ head.masks)
-    grads = _adjoint_sweep(template, built, kets, bras)
+    grads = _adjoint_sweep(template, unitaries, params[None], kets, bras)
     return losses, grads, outs
 
 
@@ -197,9 +195,9 @@ def batch_energy_and_grad(template: CircuitTemplate, param_rows, input_state, ha
     """
     param_rows = np.asarray(param_rows, dtype=float)
     hamiltonians = np.asarray(hamiltonians)
-    built = template.program.matrices(param_rows, derivatives=True)
+    unitaries = template.program.matrices(param_rows)
     psi = np.broadcast_to(input_state, (param_rows.shape[0], template.dim))
-    kets = _run_blocks(template, [u for u, _ in built], psi)
+    kets = _run_blocks(template, unitaries, psi)
     if np.isrealobj(hamiltonians):
         # a real H takes the real and imaginary parts as two columns of one real product
         parts = np.ascontiguousarray(kets).view(np.float64).reshape(kets.shape + (2,))
@@ -207,5 +205,5 @@ def batch_energy_and_grad(template: CircuitTemplate, param_rows, input_state, ha
     else:
         bras = np.einsum("bij,bj->bi", hamiltonians, kets)
     energies = np.einsum("bi,bi->b", kets.conj(), bras).real
-    grads = _adjoint_sweep(template, built, kets, bras)
+    grads = _adjoint_sweep(template, unitaries, param_rows, kets, bras)
     return energies, grads

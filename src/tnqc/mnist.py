@@ -47,13 +47,13 @@ def parse_idx(data: bytes) -> np.ndarray:
     if any(d < 0 for d in dims):
         raise IdxError(f"negative IDX dimension {dims}")
     expected = int(np.prod(dims, dtype=np.int64))
-    payload = data[header_end:]
-    if len(payload) != expected:
+    if len(data) - header_end != expected:
         raise IdxError(
-            f"IDX payload length {len(payload)} does not match dimensions "
+            f"IDX payload length {len(data) - header_end} does not match dimensions "
             f"{dims} (expected {expected} bytes)"
         )
-    array = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    # a view of the stream's own bytes: slicing ``data`` would copy the payload
+    array = np.frombuffer(data, dtype=np.uint8, count=expected, offset=header_end).reshape(dims)
     if ndim == 1 and array.size and array.max() > 9:
         raise IdxError(f"label {int(array.max())} outside [0, 9]")
     return array

@@ -1,7 +1,9 @@
-"""Oracles: a dense unitary, the parameter-shift rule, finite differences and an SVD PCA.
+"""Oracles: a dense unitary, the parameter-shift rule, finite differences, dense
+derivative matrices and an SVD PCA.
 
 ``dense_unitary`` multiplies out a template's gate list with explicit kron products and
-uses no simulator kernel.  The gradient oracles run the circuit once per shifted
+uses no simulator kernel.  ``derivative_matrices`` differentiates any unitary-valued
+function of the angles by the exact shift rule for Pauli-half rotations.  The gradient oracles run the circuit once per shifted
 parameter vector with ``run_many``.  The shift rule is exact for Pauli-half rotations;
 central differences carry an O(step^2) error.
 """
@@ -88,6 +90,29 @@ def loss_and_grad_fd(head, params, state, label, step=1e-4):
     f = head.losses(head.outputs(kets), np.full(kets.shape[0], label))
     out = head.outputs(run_states(head.template, params, state[None, :]))
     return float(head.losses(out, np.asarray([label]))[0]), (f[0::2] - f[1::2]) / (2 * step)
+
+
+def derivative_matrices(unitary, params) -> np.ndarray:
+    """``E_k = (dU/dt_k) U^dagger`` for every angle, ``(P, d, d)``.
+
+    ``unitary`` maps an angle vector to a matrix in which each angle drives
+    one Pauli-half rotation, so ``dU/dt_k`` is exactly
+    ``(U(t + pi e_k) - U(t - pi e_k)) / 4``.
+    """
+    params = np.asarray(params, dtype=float)
+    u_dagger = unitary(params).conj().T
+    shifts = np.pi * np.eye(params.size)
+    derivs = [(unitary(params + e) - unitary(params - e)) / 4 @ u_dagger for e in shifts]
+    return np.array(derivs).reshape((params.size,) + u_dagger.shape)
+
+
+def ketbra_grads(unitary, params, ketbra) -> np.ndarray:
+    """Derivatives of ``2 Re <bra|ket>`` by every angle, for states just after ``unitary``.
+
+    ``ketbra[i, j] = sum_rest ket_i conj(bra_j)``; each derivative is
+    ``2 Re <bra|E_k|ket> = 2 Re tr(E_k K)``.
+    """
+    return 2 * np.einsum("kij,ji->k", derivative_matrices(unitary, params), ketbra).real
 
 
 def pca_svd(matrix, k):

@@ -1,13 +1,16 @@
 """Differential tests of the block-compiled simulator against independent oracles.
 
 The compiled block matrices are checked against ``block_matrix``, forward
-states against a dense kron-product unitary of ``template.ops``, and the
+states against a dense kron-product unitary of ``template.ops``, each group's
+Pauli-basis angle gradients against dense derivative matrices, and the
 block-level adjoint against the parameter-shift rule, on random block kinds,
 angles and hand-made gate lists.
 """
+from functools import cached_property
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tnqc import gates, training, xxz
@@ -16,7 +19,7 @@ from tnqc.gates import PARAM_COUNT, BlockKind, Gate, GateOp, block_matrix, compi
 from tnqc.gradients import batch_energy_and_grad, batch_loss_grad, make_head
 
 from conftest import random_state
-from oracles import dense_unitary, grad_param_shift, loss_and_grad_shift
+from oracles import dense_unitary, grad_param_shift, ketbra_grads, loss_and_grad_shift
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -47,13 +50,58 @@ def test_block_matrices_match_block_matrix(kind, cnot_target, seed):
     params = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, PARAM_COUNT[kind])
     program = compile_blocks(expand_block(kind, 0, 1, range(len(params)), cnot_target=cnot_target))
     assert [block.wires for block in program.blocks] == [(0, 1)]
-    [(u, derivs)] = program.matrices(params[None], derivatives=True)
+    [u] = program.matrices(params[None])
     assert np.allclose(u[0, 0], block_matrix(kind, params, cnot_target), atol=1e-12)
-    # E_k = (dU/dt_k) U^dagger, with dU/dt_k exactly (U(t + pi e_k) - U(t - pi e_k)) / 4
-    for k in range(len(params)):
-        shift = np.pi * np.eye(len(params))[k]
-        du = (block_matrix(kind, params + shift, cnot_target) - block_matrix(kind, params - shift, cnot_target)) / 4
-        assert np.allclose(derivs[0, 0, k], du @ u[0, 0].conj().T, atol=1e-12)
+
+
+@st.composite
+def block_groups(draw):
+    """A one-group program and, per block, its matrix as a function of all angles.
+
+    Either one node kind on wires (0, 1) and (2, 3), or a hand-made gate list
+    (fixed angles included) on 1 or 2 wires, seen in its block's own basis.
+    """
+    if draw(st.booleans()):
+        kind, target = draw(st.sampled_from(list(BlockKind))), draw(st.sampled_from([None, 0, 1]))
+        width = PARAM_COUNT[kind]
+        nodes = [
+            expand_block(kind, 2 * b, 2 * b + 1, range(b * width, (b + 1) * width), None if target is None else 2 * b + target)
+            for b in range(2)
+        ]
+        program = compile_blocks(nodes[0] + nodes[1], [len(node) for node in nodes])
+        unitaries = [
+            lambda p, b=b: block_matrix(kind, p[b * width : (b + 1) * width], target) for b in range(2)
+        ]
+        return program, unitaries, 2 * width
+    template = draw(templates(widths=(1, 2)))
+    program = compile_blocks(template.ops)
+    assume(program.groups)
+    [block] = program.blocks
+    local = tuple(
+        GateOp(op.gate, tuple(block.wires.index(q) for q in op.wires), op.param_slot, op.angle)
+        for op in template.ops
+    )
+    local = CircuitTemplate(len(block.wires), local, template.n_params, (), "local")
+    return program, [lambda p: dense_unitary(local, p)], template.n_params
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_groups(), st.integers(1, 4), st.booleans(), seeds)
+def test_angle_grads_match_derivative_matrices(case, n_rows, shared, seed):
+    program, unitaries, n_params = case
+    [group] = program.groups
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-2 * np.pi, 2 * np.pi, (1 if shared else n_rows, n_params))
+    shape = (n_rows, len(unitaries), group.dim, group.dim)
+    ketbras = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grads = np.zeros((n_rows, n_params))
+    grads[:, group.slots] = group.angle_grads(rows, ketbras)
+    for r in range(n_rows):
+        params = rows[0 if shared else r]
+        expected = sum(ketbra_grads(u, params, k) for u, k in zip(unitaries, ketbras[r]))
+        assert np.allclose(grads[r], expected, atol=1e-12)
+    for t in group.pauli_tables.transfers if group.generators else ():
+        assert t is None or np.allclose(t @ t.T, np.eye(group.dim**2), atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,38 +172,46 @@ def test_node_units_keep_the_ops_and_their_unitary(rng):
         compile_blocks(template.ops, [1])
 
 
+def _record(monkeypatch):
+    """Record each ``BlockGroup.matrices`` call and each Pauli-table build, by group."""
+    calls, tables = [], []
+    matrices = gates.BlockGroup.matrices
+    build = gates.BlockGroup.pauli_tables.func
+
+    def recording_matrices(self, param_rows):
+        calls.append(self)
+        return matrices(self, param_rows)
+
+    def recording_tables(self):
+        tables.append(self)
+        return build(self)
+
+    cached = cached_property(recording_tables)
+    cached.__set_name__(gates.BlockGroup, "pauli_tables")
+    monkeypatch.setattr(gates.BlockGroup, "matrices", recording_matrices)
+    monkeypatch.setattr(gates.BlockGroup, "pauli_tables", cached)
+    return calls, tables
+
+
 @pytest.mark.parametrize("desc", ["mera:su4", "ttn:simple-su2", "checkerboard:su4:L4"])
 def test_gradient_entry_points_build_each_group_once(desc, monkeypatch, rng):
-    calls = []
-    matrices = gates.BlockGroup.matrices
-
-    def recording(self, param_rows, derivatives=False):
-        calls.append(derivatives)
-        return matrices(self, param_rows, derivatives)
-
-    monkeypatch.setattr(gates.BlockGroup, "matrices", recording)
+    calls, tables = _record(monkeypatch)
     template = from_descriptor(desc)
-    groups = len(template.program.groups)
+    groups = list(template.program.groups)
     rows = rng.uniform(0, 2 * np.pi, (3, template.n_params))
     states = np.stack([random_state(8, rng) for _ in range(3)])
     h = np.stack([xxz.build_hamiltonian(d) for d in (-1.5, 0.0, 1.5)])
     batch_energy_and_grad(template, rows, states[0], h)
-    assert calls == [True] * groups
+    assert calls == groups
     if template.readout:
         calls.clear()
         batch_loss_grad(make_head("mse_binary", template, 4), rows[0], states, np.array([0, 1, 2]))
-        assert calls == [True] * groups
+        assert calls == groups
+    assert tables == groups  # built on the first gradient call, then kept
 
 
 def test_forward_callers_build_no_derivatives(monkeypatch, rng):
-    calls = []
-    matrices = gates.BlockGroup.matrices
-
-    def recording(self, param_rows, derivatives=False):
-        calls.append(derivatives)
-        return matrices(self, param_rows, derivatives)
-
-    monkeypatch.setattr(gates.BlockGroup, "matrices", recording)
+    calls, tables = _record(monkeypatch)
     template = from_descriptor("mera:su4")
     params = rng.uniform(0, 2 * np.pi, template.n_params)
     states = np.stack([random_state(8, rng) for _ in range(4)])
@@ -165,4 +221,4 @@ def test_forward_callers_build_no_derivatives(monkeypatch, rng):
     training.evaluate(make_head("ce_amplitude", template, 4), params, dataset)
     record = xxz.GroundStateRecord(0.5, np.zeros(from_descriptor("checkerboard:su4:L2").n_params), 0.0, 0.0, 1, 2, 0)
     xxz.states_from_records([record])
-    assert calls and not any(calls)
+    assert calls and not tables

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ class TestIdxParser:
     def test_round_trip(self):
         for blob in (label_bytes([0, 9, 4]), image_bytes(2, 2, 3, range(12))):
             assert serialize_idx(parse_idx(blob)) == blob
+
+    def test_images_are_a_view_of_the_stream(self):
+        blob = image_bytes(10000, 28, 28, bytes(10000 * 28 * 28))  # 7.84 MB of pixels
+        tracemalloc.start()
+        try:
+            images = parse_idx(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert images.shape == (10000, 28, 28) and not images.flags.writeable
+        assert peak < 1_000_000
 
 
 class TestFilterClasses:
